@@ -104,9 +104,6 @@ class Schedule:
                 kinds.extend([RoundKind.from_char(base)] * reps)
         return Schedule(tuple(kinds), bandwidth)
 
-    def with_bandwidth(self, bandwidth: Callable[[int], int]) -> "Schedule":
-        return Schedule(self.kinds, bandwidth)
-
 
 def schedule_cost(schedule: Schedule, a: float, b: float, c: float) -> float:
     """Weighted round count: a per L round, b per B round, c per C round."""

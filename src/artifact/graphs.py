@@ -185,10 +185,6 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def with_labels(self, labels: Mapping[int, Label]) -> "LabeledGraph":
-        """Copy of the graph with the given labels (others reset to blank)."""
-        return LabeledGraph(self.nodes, self.edges, labels)
-
     def _key(self):
         return (self.nodes, self.edges, tuple(sorted(self.labels.items(), key=lambda kv: kv[0])))
 

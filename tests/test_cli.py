@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -173,6 +174,16 @@ def test_kkt_csv(capsys):
     assert lines[0] == "row,feasible,value,residual"
     assert len(lines) == 25
     assert "feasible=18/24" in captured.err
+
+
+@pytest.mark.parametrize("step", ["1e-320", "0.001"])
+def test_kkt_fine_grid_step(step, capsys):
+    # the corner maximum does not depend on the step: no lattice size is
+    # derived from it, so a tiny step neither overflows nor scans 10^12 points
+    code = main(["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", step])
+    assert code == 0
+    grid = re.search(r"grid=(\S+)", capsys.readouterr().err).group(1)
+    assert float(grid) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_kkt_rejects_bad_posteriors(capsys):

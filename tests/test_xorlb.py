@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact._kernels import USING_NUMBA, _grid_scan_numpy, _grid_scan_py, grid_scan
 from artifact.xorlb import (
     TABLE1,
     ChainReport,
@@ -235,19 +235,80 @@ def test_chain_holds_everywhere(ra, rb):
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# corner maximum against the lattice scan
 
 
-def test_grid_kernels_agree():
-    for ra, rb, m in [(0.7, 0.6, 21), (0.5, 0.5, 11), (0.93, 0.52, 17)]:
-        got = grid_scan(ra, rb, m)
-        ref = _grid_scan_numpy(ra, rb, m)
-        pure = _grid_scan_py(ra, rb, m)
-        assert got == ref == pure
+def _grid_scan_py(r_a: float, r_b: float, m: int):
+    """Reference: maximize the closed form over the whole m^4 lattice.
+
+    Returns (best value, i_pa, i_pb, i_qa, i_qb) with each index in [0, m)
+    mapping to the grid point index/(m-1).  Ties keep the lexicographically
+    first index vector in (p_A, p_B, q_A, q_B) order.
+    """
+    step = 1.0 / (m - 1)
+    best = -1.0
+    bi = bj = bk = bl = 0
+    for i in range(m):
+        pa = i * step
+        for j in range(m):
+            pb = j * step
+            base = 1.0 - pa * pb
+            for k in range(m):
+                qa = k * step
+                ca = r_a * (pa + qa)
+                cb = r_b * (pa - qa)
+                for l in range(m):
+                    qb = l * step
+                    v = 0.5 * (ca * (pb - qb) + cb * (pb + qb) + base + qa * qb)
+                    if v > best:
+                        best = v
+                        bi, bj, bk, bl = i, j, k, l
+    return best, bi, bj, bk, bl
 
 
-def test_using_numba_is_a_bool():
-    assert isinstance(USING_NUMBA, bool)
+def _lattice_max(post: Posteriors, m: int):
+    best, i, j, k, l = _grid_scan_py(post.r_a, post.r_b, m)
+    step = 1.0 / (m - 1)
+    return best, DecisionRuleParams(p_a=i * step, q_a=k * step, p_b=j * step, q_b=l * step)
+
+
+def _grid_step(m: int) -> float:
+    # m=2, the bare corners, has step 1, outside grid_step's valid range; the
+    # corner maximum does not depend on the step
+    return min(0.5, 1.0 / (m - 1))
+
+
+_UNTIED = [
+    Posteriors(float(a), float(b))
+    for a, b in np.random.default_rng(3).uniform(0.5, 1.0, size=(12, 2))
+]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 11, 21])
+def test_corner_max_equals_lattice_scan_bit_for_bit(m):
+    for post in _UNTIED:
+        assert post.r_a != post.r_b
+        assert grid_max_success(post, _grid_step(m)) == _lattice_max(post, m), post
+
+
+_CORNERS = [
+    DecisionRuleParams(p_a=p_a, q_a=q_a, p_b=p_b, q_b=q_b)
+    for p_a, p_b, q_a, q_b in itertools.product((0.0, 1.0), repeat=4)
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(posteriors, st.one_of(st.none(), posteriors), st.sampled_from([2, 3, 5, 11]))
+def test_corner_max_within_2_ulp_of_lattice_scan(ra, rb, m):
+    # rb=None draws an exact tie, where the scan can round an interior point
+    # up by 1-2 ulp
+    post = Posteriors(ra, ra if rb is None else rb)
+    want, _ = _lattice_max(post, m)
+    value, arg = grid_max_success(post, _grid_step(m))
+    assert abs(value - want) <= 2 * math.ulp(want)
+    assert arg in _CORNERS
+    assert arg == next(c for c in _CORNERS if success_prob(c, post) == value)
+    assert success_prob(arg, post) == pytest.approx(value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
