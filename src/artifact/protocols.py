@@ -44,15 +44,15 @@ def _reconstruct_path(adj: dict[int, tuple[int, ...]]) -> list[int] | None:
     if len(ends) != 2 or any(len(ns) not in (1, 2) for ns in adj.values()):
         return None
     order = [min(ends)]
+    seen = {order[0]}
     prev = None
     while len(order) < len(adj):
         candidates = [w for w in adj[order[-1]] if w != prev]
-        if len(candidates) != 1 or candidates[0] not in adj:
+        if len(candidates) != 1 or candidates[0] not in adj or candidates[0] in seen:
             return None
         prev = order[-1]
         order.append(candidates[0])
-        if candidates[0] in order[:-1]:
-            return None
+        seen.add(candidates[0])
     return order if order[-1] == max(ends) else None
 
 

@@ -8,6 +8,16 @@ tables slice by slice — for a fixed pair of message maps the optimal outputs
 decouple across index pairs (i, j), and within a slice Bob's best reply to a
 fixed Alice table is a per-entry greedy choice.  That keeps the candidate
 space honest (it is counted before searching) without giving up exactness.
+
+A slice splits further into cells (mb, ma): Alice's entry a[x, mb] meets only
+the ys Bob maps to mb, and only through his reply to the group of xs Alice
+maps to ma.  Inside a cell a y matters only through its bit y_i, so each of
+the group's 2^|group| bit vectors is scored against two counts, one per value
+of y_i, instead of once per y.  The minimisers of a slice are the product of
+the cells' minimisers over disjoint keys, so the cell-wise lexicographically
+first ones assemble into the table a full enumeration of Alice's slice tables
+would keep: error, witness and table order are those of that enumeration.
+Slice results are memoised by value within one search.
 """
 
 from __future__ import annotations
@@ -237,43 +247,66 @@ def _candidate_count(n: int, k_a: int, k_b: int) -> int:
     return pairs_a * pairs_b * n * n * subtables
 
 
+def _cell_best(targets: tuple[int, ...], n0: int, n1: int):
+    """Lexicographically first minimiser of one cell's error count.
+
+    ``targets[k]`` is x_j for the k-th x of the cell's Alice group, and n0/n1
+    count the cell's ys with y_i = 0/1.  For a bit vector a over the group at
+    Hamming distance d from ``targets`` (ones = sum(targets)), Bob's output 0
+    errs on ones tuples of a y with y_i = 0 and output 1 on d of them; for
+    y_i = 1 the counts are size - ones and size - d.  Returns the error
+    count, the bits, and Bob's reply per value of y_i (1 on ties).
+    """
+    size, ones = len(targets), sum(targets)
+    best = None
+    for bits in itertools.product((0, 1), repeat=size):
+        d = sum(b != t for b, t in zip(bits, targets))
+        cost = n0 * min(ones, d) + n1 * min(size - ones, size - d)
+        if best is None or cost < best[0]:
+            best = (cost, bits, (int(d <= ones), int(d >= ones)))
+    return best
+
+
 def _slice_best(xs, ys, i, j, a_msg_of, b_msg_of):
     """Exact minimum error count over output tables for one (i, j) slice.
 
-    Alice's slice table (keyed by (x, bob message)) is enumerated outright;
-    for each, Bob's best table is the per-entry greedy since his (y, alice
-    message) entries touch disjoint tuple sets.  Returns the count plus the
-    winning tables.
+    Alice's entry a[x, mb] only meets the ys with b_msg(y) = mb, and only
+    through Bob's reply to the group of xs sharing a_msg(x) = ma; Bob's best
+    reply to a fixed Alice table is the per-entry greedy (his (y, ma) entries
+    touch disjoint tuple sets).  So the slice error is a sum over cells
+    (mb, ma), each depending only on Alice's bits for the xs of group(ma),
+    and within a cell a y matters only through y_i: each candidate is scored
+    against the two class counts n0, n1 (see ``_cell_best``).
+
+    The minimisers form a product over the cells' disjoint key blocks, so the
+    cell-wise lexicographically first minimisers assemble into the first
+    minimiser of the whole table in (x, mb) key order — the witness a full
+    enumeration of Alice's tables would keep.  Both tables are built in that
+    enumeration's key order, and Bob answers 1 on ties (err1 <= err0).
+    Returns the count plus the winning tables.
     """
-    reach_mb = sorted({b_msg_of[y] for y in ys})
-    keys = [(x, mb) for x in xs for mb in reach_mb]
     groups: dict[str, list[str]] = {}
     for x in xs:
         groups.setdefault(a_msg_of[x], []).append(x)
-    best = None
-    for bits in itertools.product((0, 1), repeat=len(keys)):
-        a_tab = dict(zip(keys, bits))
-        bad = 0
-        b_tab = {}
-        for y in ys:
-            mb = b_msg_of[y]
-            for ma, group in groups.items():
-                err0 = err1 = 0
-                for x in group:
-                    want = int(x[j - 1]) ^ int(y[i - 1])
-                    if want:
-                        err0 += 1
-                    if (a_tab[x, mb] & 1) != want:
-                        err1 += 1
-                if err1 <= err0:
-                    b_tab[y, ma] = 1
-                    bad += err1
-                else:
-                    b_tab[y, ma] = 0
-                    bad += err0
-        if best is None or bad < best[0]:
-            best = (bad, a_tab, b_tab)
-    return best
+    counts: dict[str, list[int]] = {}
+    for y in ys:
+        counts.setdefault(b_msg_of[y], [0, 0])[int(y[i - 1])] += 1
+    reach_mb = sorted(counts)
+    bad = 0
+    a_bit: dict[tuple[str, str], int] = {}
+    reply: dict[tuple[str, str], tuple[int, int]] = {}
+    for mb in reach_mb:
+        n0, n1 = counts[mb]
+        for ma, group in groups.items():
+            targets = tuple(int(x[j - 1]) for x in group)
+            cost, bits, reply[mb, ma] = _cell_best(targets, n0, n1)
+            bad += cost
+            a_bit.update(zip([(x, mb) for x in group], bits))
+    a_tab = {(x, mb): a_bit[x, mb] for x in xs for mb in reach_mb}
+    b_tab = {
+        (y, ma): reply[b_msg_of[y], ma][int(y[i - 1])] for y in ys for ma in groups
+    }
+    return bad, a_tab, b_tab
 
 
 def _table_protocol(n, k_a, k_b, a_msg, b_msg, a_out, b_out) -> OneRoundProtocol:
@@ -308,33 +341,44 @@ def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRound
             f"bruteforce_min_error({n}, {k_a}, {k_b}) exceeds {SEARCH_BUDGET} candidates"
         )
     xs = _bit_strings(n)
-    indices = range(1, n + 1)
-    inputs = [(x, i) for x in xs for i in indices]
+    inputs = [(x, i) for x in xs for i in range(1, n + 1)]
     space_a = _bit_strings(k_a) if k_a else [""]
     space_b = _bit_strings(k_b) if k_b else [""]
+    # slice results keyed by value: (i, j, Alice's messages over xs at index
+    # i, Bob's messages over ys at index j); many candidate pairs share slices
+    memo: dict[tuple, tuple] = {}
     best_bad = None
     best = None
     for a_vals in _map_candidates(inputs, space_a, pin_first=True):
-        a_map = dict(zip(inputs, a_vals))
+        # inputs are x-major, so a_rows[i - 1] lists Alice's messages over xs at i
+        a_rows = [a_vals[i::n] for i in range(n)]
         for b_vals in _map_candidates(inputs, space_b, pin_first=False):
-            b_map = dict(zip(inputs, b_vals))
+            b_rows = [b_vals[j::n] for j in range(n)]
             bad = 0
-            a_out: dict[tuple, int] = {}
-            b_out: dict[tuple, int] = {}
-            for i in indices:
-                a_msg_of = {x: a_map[x, i] for x in xs}
-                for j in indices:
-                    b_msg_of = {y: b_map[y, j] for y in xs}
-                    sbad, a_tab, b_tab = _slice_best(xs, xs, i, j, a_msg_of, b_msg_of)
-                    bad += sbad
-                    for (x, mb), bit in a_tab.items():
-                        a_out[x, i, mb, j] = bit
-                    for (y, ma), bit in b_tab.items():
-                        b_out[y, j, ma, i] = bit
+            slices = []
+            for i, a_row in enumerate(a_rows, 1):
+                for j, b_row in enumerate(b_rows, 1):
+                    key = (i, j, a_row, b_row)
+                    found = memo.get(key)
+                    if found is None:
+                        found = memo[key] = _slice_best(
+                            xs, xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row))
+                        )
+                    bad += found[0]
+                    slices.append((i, j, found))
             if best_bad is None or bad < best_bad:
                 best_bad = bad
-                best = (dict(a_map), dict(b_map), a_out, b_out)
-    a_map, b_map, a_out, b_out = best
+                best = (a_vals, b_vals, slices)
+    a_vals, b_vals, slices = best
+    a_map = dict(zip(inputs, a_vals))
+    b_map = dict(zip(inputs, b_vals))
+    a_out: dict[tuple, int] = {}
+    b_out: dict[tuple, int] = {}
+    for i, j, (_, a_tab, b_tab) in slices:
+        for (x, mb), bit in a_tab.items():
+            a_out[x, i, mb, j] = bit
+        for (y, ma), bit in b_tab.items():
+            b_out[y, j, ma, i] = bit
     witness = _table_protocol(n, k_a, k_b, a_map, b_map, a_out, b_out)
     error = Fraction(best_bad, ((1 << n) * n) ** 2)
     check = eval_protocol_error(witness, n)

@@ -166,6 +166,14 @@ def test_bruteforce_json_out(tmp_path, capsys):
     assert json.loads(out.read_text())["min_error"] == "0/1"
 
 
+def test_bruteforce_two_bit_budget_at_n2(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    code = main(["bruteforce", "--n", "2", "--ka", "1", "--kb", "1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0/1"
+    assert json.loads(out.read_text())["min_error"] == "0/1"
+
+
 def test_kkt_csv(capsys):
     code = main(["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", "0.05"])
     assert code == 0

@@ -19,6 +19,7 @@ from artifact.languages import membership, parse_language_id
 from artifact.protocols import (
     FullStateStressProtocol,
     NamedProtocol,
+    _reconstruct_path,
     proto_registry,
     protocol_ids,
 )
@@ -174,3 +175,36 @@ def test_stress_protocol_varies_across_instances():
         for s in range(4)
     }
     assert len(verdicts) > 1  # the digest actually depends on what it saw
+
+
+# ---------------------------------------------------------------------------
+# path reconstruction from neighbor lists
+
+
+def test_reconstruct_path_orders_from_the_smaller_end():
+    forward = {1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}
+    backward = {4: (3,), 3: (4, 2), 2: (3, 1), 1: (2,)}
+    assert _reconstruct_path(forward) == [1, 2, 3, 4]
+    assert _reconstruct_path(backward) == [1, 2, 3, 4]
+    # labels need not follow the path: it starts at the smaller end
+    assert _reconstruct_path({7: (2,), 2: (7, 9), 9: (2, 5), 5: (9,)}) == [5, 9, 2, 7]
+
+
+def test_reconstruct_path_rejects_cycles_and_repeats():
+    assert _reconstruct_path({1: (2, 3), 2: (1, 3), 3: (1, 2)}) is None
+    # two ends, but the walk from 1 runs into the triangle 2-3-4 and comes
+    # back to 2 before it has visited every node
+    repeat = {1: (2,), 2: (1, 3), 3: (2, 4), 4: (3, 2), 5: (4,)}
+    assert _reconstruct_path(repeat) is None
+    # inconsistent lists whose walk 1, 2, 3, 1, 2 has as many steps as there
+    # are nodes and stops at the larger end: only the revisit check rejects it
+    loop = {1: (2,), 2: (3,), 3: (1, 2), 4: (1, 2), 5: (1, 2)}
+    assert _reconstruct_path(loop) is None
+    # a path plus a detached cycle: the walk ends before covering the nodes
+    detached = {1: (2,), 2: (1,), 3: (4, 5), 4: (3, 5), 5: (3, 4)}
+    assert _reconstruct_path(detached) is None
+
+
+def test_reconstruct_path_single_node():
+    assert _reconstruct_path({3: ()}) == [3]
+    assert _reconstruct_path({3: (4,)}) is None

@@ -1,7 +1,11 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from artifact import twoparty
 from artifact.graphs import build_clique_bridge, build_xor_index_path
 from artifact.protocols import proto_registry
 from artifact.twoparty import (
@@ -115,6 +119,119 @@ def test_bruteforce_monotone_in_budget_and_n():
 def test_bruteforce_budget_guard():
     with pytest.raises(SearchTooLargeError):
         bruteforce_min_error(2, 2, 2)
+
+
+def test_bruteforce_pinned_minima():
+    pinned = {
+        (2, 1, 0): Fraction(1, 8),
+        (3, 0, 0): Fraction(1, 4),
+        (2, 0, 1): Fraction(1, 8),
+        (2, 1, 1): Fraction(0),
+    }
+    for (n, k_a, k_b), want in pinned.items():
+        error, witness = bruteforce_min_error(n, k_a, k_b)
+        assert error == want
+        assert eval_protocol_error(witness, n) == want
+
+
+def _slice_best_enumerated(xs, ys, i, j, a_msg_of, b_msg_of):
+    """Reference: the slice search that enumerates every Alice table.
+
+    Alice's slice table (keyed by (x, bob message)) is enumerated outright;
+    for each, Bob's best table is the per-entry greedy.  Keeps the first
+    table with the least error count.
+    """
+    reach_mb = sorted({b_msg_of[y] for y in ys})
+    keys = [(x, mb) for x in xs for mb in reach_mb]
+    groups: dict[str, list[str]] = {}
+    for x in xs:
+        groups.setdefault(a_msg_of[x], []).append(x)
+    best = None
+    for bits in itertools.product((0, 1), repeat=len(keys)):
+        a_tab = dict(zip(keys, bits))
+        bad = 0
+        b_tab = {}
+        for y in ys:
+            mb = b_msg_of[y]
+            for ma, group in groups.items():
+                err0 = err1 = 0
+                for x in group:
+                    want = int(x[j - 1]) ^ int(y[i - 1])
+                    if want:
+                        err0 += 1
+                    if (a_tab[x, mb] & 1) != want:
+                        err1 += 1
+                if err1 <= err0:
+                    b_tab[y, ma] = 1
+                    bad += err1
+                else:
+                    b_tab[y, ma] = 0
+                    bad += err0
+        if best is None or bad < best[0]:
+            best = (bad, a_tab, b_tab)
+    return best
+
+
+def _size_id(size):
+    return "n{}-ka{}-kb{}".format(*size)
+
+
+def _as_items(result):
+    bad, a_tab, b_tab = result
+    return bad, list(a_tab.items()), list(b_tab.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slice_best_matches_full_enumeration(n):
+    xs = ["".join(t) for t in itertools.product("01", repeat=n)]
+    alphabet = ["00", "01", "10", "11"]
+    # the reference enumerates 2^(|xs| * |Bob's messages|) tables, so Bob's
+    # alphabet is capped at 12 table keys: sizes 1-4 at n=1, 1-3 at n=2, 1 at n=3
+    b_sizes = range(1, min(4, 12 // len(xs)) + 1)
+    rng = random.Random(20261018 + n)
+    for a_size, b_size, i, j in itertools.product(
+        range(1, 5), b_sizes, range(1, n + 1), range(1, n + 1)
+    ):
+        for _ in range(3):
+            a_alpha = rng.sample(alphabet, a_size)
+            b_alpha = rng.sample(alphabet, b_size)
+            a_msg_of = {x: rng.choice(a_alpha) for x in xs}
+            b_msg_of = {y: rng.choice(b_alpha) for y in xs}
+            new = twoparty._slice_best(xs, xs, i, j, a_msg_of, b_msg_of)
+            old = _slice_best_enumerated(xs, xs, i, j, a_msg_of, b_msg_of)
+            assert _as_items(new) == _as_items(old), (a_msg_of, b_msg_of, i, j)
+
+
+@pytest.mark.parametrize(
+    "size",
+    [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 2), (2, 0, 0), (2, 1, 0), (3, 0, 0)],
+    ids=_size_id,
+)
+def test_bruteforce_json_same_under_full_enumeration(size, monkeypatch):
+    error, witness = bruteforce_min_error(*size)
+    fast = search_result_json(*size, error, witness)
+    monkeypatch.setattr(twoparty, "_slice_best", _slice_best_enumerated)
+    error_ref, witness_ref = bruteforce_min_error(*size)
+    assert error == error_ref
+    assert fast == search_result_json(*size, error_ref, witness_ref)
+
+
+# sha256 of search_result_json as written by the search that enumerated every
+# Alice table of every slice; the witness is the first minimiser in candidate
+# order, so a changed tie rule in either loop moves these digests
+_WITNESS_SHA256 = {
+    (1, 2, 2): "1333a72c59d9bc18ce8fa1839f03bc2dc50efb8b950bd92267a0f5ee1efec146",
+    (2, 0, 1): "f85907d0e8bcc9516e925c3a2cdc4e18363933ffd66496e5776e191247689475",
+    (2, 1, 0): "440bad92544c3bfe23fe574762d4d49f6171d10acdb1f68b171e293d7076ee55",
+    (2, 1, 1): "236e1488b1debbffc319cc53792c88e588de5edc4479b1558953266905687512",
+    (3, 0, 0): "c2b4ab6aa58ab61af15dabe209823c83a47e05f4ee16749c90f37e4d0fe06214",
+}
+
+
+@pytest.mark.parametrize("size", sorted(_WITNESS_SHA256), ids=_size_id)
+def test_bruteforce_witness_is_pinned(size):
+    blob = search_result_json(*size, *bruteforce_min_error(*size))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _WITNESS_SHA256[size]
 
 
 def test_search_result_json_round_trips_the_fraction():
