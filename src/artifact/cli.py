@@ -32,15 +32,13 @@ from .graphs import (
     build_gadget,
     clique_graph,
     cycle_graph,
-    enumerate_small_instances,
     marked_clique,
     marked_cycle,
     marked_path,
     path_graph,
     random_labeled_graph,
 )
-from .languages import membership, parse_language_id
-from .protocols import NamedProtocol, proto_registry, protocol_ids
+from .protocols import NamedProtocol, proto_registry, protocol_ids, sweep
 from .twoparty import (
     CutConfig,
     SearchTooLargeError,
@@ -211,21 +209,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     only = cfg.params.get("only") or list(protocol_ids())
-    max_n = cfg.params["max_n"]
     any_bad = False
     lines = []
     for name in only:
-        named = proto_registry(name)
-        _, k = parse_language_id(named.language)
-        agree = total = 0
-        for g in enumerate_small_instances(named.family, max_n, k=k):
-            want = membership(named.language, g)
-            got = run(named.protocol, g, named.schedule, seed=cfg.seed, record=False)
-            total += 1
-            if got.verdict.accept == want:
-                agree += 1
-        any_bad |= agree != total
-        lines.append(f"{named.name}: {agree}/{total} agree")
+        result = sweep(name, cfg.params["max_n"], seed=cfg.seed)
+        line = f"{result.name}: {result.agree}/{result.total} agree"
+        if result.counterexample is not None:
+            any_bad = True
+            line += f"; first counterexample {result.counterexample.to_json()}"
+        lines.append(line)
     _emit(cfg, "\n".join(lines))
     return 1 if any_bad else 0
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, combinations, product, starmap
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._bits import is_bits
 from ._rng import Tape
@@ -557,8 +557,6 @@ def _pointer_partitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
 def _alternating_maps(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """All (f_a, f_b) with disjoint covering domains, 0 on the a-side, and
     values landing on the opposite side."""
-    from itertools import product
-
     for dom_a, dom_b in _pointer_partitions(n):
         for vals_a in product(dom_b, repeat=len(dom_a)):
             f_a = dict(zip(dom_a, vals_a))
@@ -567,135 +565,93 @@ def _alternating_maps(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]
 
 
 def _count_alternating(n: int) -> int:
-    total = 0
-    for dom_a, dom_b in _pointer_partitions(n):
-        total += len(dom_b) ** len(dom_a) * len(dom_a) ** len(dom_b)
-    return total
+    return sum(
+        len(dom_b) ** len(dom_a) * len(dom_a) ** len(dom_b)
+        for dom_a, dom_b in _pointer_partitions(n)
+    )
 
 
-def count_instances(family: str, max_size: int, k: int | None = None) -> int:
+# Instances of one family part at size m.
+_Instances = Callable[[int], Iterable[LabeledGraph]]
+
+
+def _marked(shape: Callable[[str], LabeledGraph]) -> _Instances:
+    return lambda m: map(shape, _all_bits(m))
+
+
+def _xy(builder: Callable[[int, str, str], LabeledGraph]) -> _Instances:
+    return lambda n: starmap(builder, product((n,), _all_bits(n), _all_bits(n)))
+
+
+# family -> parts, each (first size, instance count at size m, instances at
+# size m); a family enumerates its parts in order, each over sizes
+# first..max_size.  one-marked-edge is the union of the three marked shapes:
+# K_1 and K_2 coincide with the 1- and 2-node paths, so cliques start at 3.
+_FAMILIES: dict[str, tuple[tuple[int, Callable[[int], int], _Instances], ...]] = {
+    "xor-index-path": (
+        (2, lambda n: 4**n * n * n, lambda n: starmap(
+            build_xor_index_path,
+            product((n,), _all_bits(n), _all_bits(n), range(1, n + 1), range(1, n + 1)),
+        )),
+    ),
+    "one-marked-edge": (
+        (1, lambda m: 2**m, _marked(marked_path)),
+        (3, lambda m: 2**m, _marked(marked_cycle)),
+        (3, lambda m: 2**m, _marked(marked_clique)),
+    ),
+    "disj-on-clique": (
+        (1, lambda n: 2 ** (n * n),
+         lambda n: map(build_disj_on_clique, product(_all_bits(n), repeat=n))),
+    ),
+    "disj-on-edge": ((2, lambda n: 4**n, _xy(build_disj_on_edge)),),
+    "disj-on-path": ((2, lambda n: 4**n, _xy(build_disj_on_path)),),
+    "k-pclp": (
+        (2, _count_alternating,
+         lambda n: (build_kpclp_path(f_a, f_b, n) for f_a, f_b in _alternating_maps(n))),
+    ),
+    "disj-edge-star": (
+        (1, lambda n: 4**n,
+         lambda n: starmap(build_disj_edge_star, product(_all_bits(n), repeat=2))),
+    ),
+    "special-disjointness": (
+        (1, lambda n: 2 * 4**n, lambda n: starmap(
+            build_special_disjointness, product((n,), _all_bits(n), _all_bits(n), "01"),
+        )),
+    ),
+    "disj-4partite": (
+        (1, lambda n: 4 ** (n * n), lambda n: starmap(
+            build_disj_4partite,
+            product(product(_all_bits(n), repeat=n), product(_all_bits(n), repeat=n)),
+        )),
+    ),
+    "tomdf": ((1, lambda v: 2 ** (v * (v - 1) // 2), all_graphs),),
+}
+_FAMILIES["triangle-freeness"] = _FAMILIES["tomdf"]
+
+
+def count_instances(family: str, max_size: int) -> int:
     """Exact instance count for enumerate_small_instances, without building them."""
-    if family == "xor-index-path":
-        return sum((4**n) * n * n for n in range(2, max_size + 1))
-    if family == "marked-path":
-        return sum(2**m for m in range(1, max_size + 1))
-    if family == "marked-cycle":
-        return sum(2**m for m in range(3, max_size + 1))
-    if family == "marked-clique":
-        return sum(2**m for m in range(1, max_size + 1))
-    if family == "one-marked-edge":
-        # union of the three marked shapes; K_1 and K_2 coincide with the
-        # 1- and 2-node paths, so cliques start at 3 to avoid duplicates
-        paths = sum(2**m for m in range(1, max_size + 1))
-        cycles = sum(2**m for m in range(3, max_size + 1))
-        cliques = sum(2**m for m in range(3, max_size + 1))
-        return paths + cycles + cliques
-    if family == "disj-on-clique":
-        return sum(2 ** (n * n) for n in range(1, max_size + 1))
-    if family in ("disj-on-edge", "disj-on-path"):
-        return sum(4**n for n in range(2, max_size + 1))
-    if family == "k-pclp":
-        return sum(_count_alternating(n) for n in range(2, max_size + 1))
-    if family == "disj-edge-star":
-        return sum(4**n for n in range(1, max_size + 1))
-    if family == "special-disjointness":
-        return sum(2 * 4**n for n in range(1, max_size + 1))
-    if family == "disj-4partite":
-        return sum(4 ** (n * n) for n in range(1, max_size + 1))
-    if family in ("tomdf", "triangle-freeness", "c4-freeness", "all-graphs"):
-        return sum(2 ** (v * (v - 1) // 2) for v in range(1, max_size + 1))
-    raise InvalidInstanceError(f"unknown enumeration family {family!r}")
+    try:
+        parts = _FAMILIES[family]
+    except KeyError:
+        raise InvalidInstanceError(f"unknown enumeration family {family!r}") from None
+    return sum(count(m) for first, count, _ in parts for m in range(first, max_size + 1))
 
 
-def enumerate_small_instances(
-    family: str, max_size: int, k: int | None = None
-) -> Iterator[LabeledGraph]:
+def enumerate_small_instances(family: str, max_size: int) -> Iterator[LabeledGraph]:
     """Deterministic exhaustive stream of every family instance up to max_size.
 
     The instance count is precomputed; streams larger than the 10^7 budget
     raise EnumerationTooLargeError before yielding anything.
     """
-    total = count_instances(family, max_size, k)
+    total = count_instances(family, max_size)
     if total > ENUMERATION_BUDGET:
         raise EnumerationTooLargeError(
             f"{family} at max_size={max_size} has {total} instances (budget {ENUMERATION_BUDGET})"
         )
-    return _enumerate(family, max_size)
-
-
-def _enumerate(family: str, max_size: int) -> Iterator[LabeledGraph]:
-    if family == "xor-index-path":
-        for n in range(2, max_size + 1):
-            for x in _all_bits(n):
-                for y in _all_bits(n):
-                    for i in range(1, n + 1):
-                        for j in range(1, n + 1):
-                            yield build_xor_index_path(n, x, y, i, j)
-    elif family == "marked-path":
-        for m in range(1, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_path(marks)
-    elif family == "marked-cycle":
-        for m in range(3, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_cycle(marks)
-    elif family == "marked-clique":
-        for m in range(1, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_clique(marks)
-    elif family == "one-marked-edge":
-        for m in range(1, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_path(marks)
-        for m in range(3, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_cycle(marks)
-        for m in range(3, max_size + 1):
-            for marks in _all_bits(m):
-                yield marked_clique(marks)
-    elif family == "disj-on-clique":
-        from itertools import product
-
-        for n in range(1, max_size + 1):
-            for rows in product(_all_bits(n), repeat=n):
-                yield build_disj_on_clique(rows)
-    elif family == "disj-on-edge":
-        for n in range(2, max_size + 1):
-            for x in _all_bits(n):
-                for y in _all_bits(n):
-                    yield build_disj_on_edge(n, x, y)
-    elif family == "disj-on-path":
-        for n in range(2, max_size + 1):
-            for x in _all_bits(n):
-                for y in _all_bits(n):
-                    yield build_disj_on_path(n, x, y)
-    elif family == "k-pclp":
-        for n in range(2, max_size + 1):
-            for f_a, f_b in _alternating_maps(n):
-                yield build_kpclp_path(f_a, f_b, n)
-    elif family == "disj-edge-star":
-        for n in range(1, max_size + 1):
-            for x in _all_bits(n):
-                for y in _all_bits(n):
-                    yield build_disj_edge_star(x, y)
-    elif family == "special-disjointness":
-        for n in range(1, max_size + 1):
-            for x in _all_bits(n):
-                for y in _all_bits(n):
-                    for b in ("0", "1"):
-                        yield build_special_disjointness(n, x, y, b)
-    elif family == "disj-4partite":
-        from itertools import product
-
-        for n in range(1, max_size + 1):
-            for x_rows in product(_all_bits(n), repeat=n):
-                for y_rows in product(_all_bits(n), repeat=n):
-                    yield build_disj_4partite(x_rows, y_rows)
-    elif family in ("tomdf", "triangle-freeness", "c4-freeness", "all-graphs"):
-        for v in range(1, max_size + 1):
-            yield from all_graphs(v)
-    else:
-        raise InvalidInstanceError(f"unknown enumeration family {family!r}")
+    return chain.from_iterable(
+        build(m) for first, _, build in _FAMILIES[family] for m in range(first, max_size + 1)
+    )
 
 
 def random_labeled_graph(num_nodes: int, seed: int) -> LabeledGraph:

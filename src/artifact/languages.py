@@ -9,12 +9,12 @@ suite is exhaustively tested against.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Mapping, Sequence
 
 from .graphs import (
     BITS_KIND,
     INDEX_KIND,
     PAIR_KIND,
-    InvalidInstanceError,
     Label,
     LabeledGraph,
     decode_pointer_map,
@@ -234,34 +234,33 @@ def k_pclp(g: LabeledGraph, k: int) -> bool:
         f_a, f_b = g_v, g_u
     else:
         return False
-    try:
-        return bool(pointer_chase(f_a, f_b, k))
-    except InvalidInstanceError:
+    if not _alternates(f_a, f_b):
         return False
+    return bin(pointer_chase(f_a, f_b, k)).count("1") % 2 == 1
 
 
-def pointer_chase(f_a: dict[int, int], f_b: dict[int, int], k: int) -> int:
-    """Parity (popcount mod 2) of the k-th iterate of the combined map at 0.
-
-    The two domains must be disjoint, jointly cover {0..n-1} with 0 on the
-    a-side, and each half must map into the other's domain; violations raise
-    InvalidInstanceError.
-    """
+def _alternates(f_a: dict[int, int], f_b: dict[int, int]) -> bool:
+    """The two domains are disjoint, jointly cover {0..n-1} with 0 on the
+    a-side, and each half maps into the other's domain."""
     dom_a, dom_b = set(f_a), set(f_b)
     n = len(dom_a) + len(dom_b)
-    if dom_a & dom_b or dom_a | dom_b != set(range(n)):
-        raise InvalidInstanceError("domains must partition {0..n-1}")
-    if 0 not in dom_a:
-        raise InvalidInstanceError("0 must be in the first domain")
-    if not all(v in dom_b for v in f_a.values()) or not all(
-        v in dom_a for v in f_b.values()
-    ):
-        raise InvalidInstanceError("map must alternate between the two domains")
-    f = {**f_a, **f_b}
-    v = 0
-    for _ in range(k):
-        v = f[v]
-    return bin(v).count("1") % 2
+    return (
+        not dom_a & dom_b
+        and dom_a | dom_b == set(range(n))
+        and 0 in dom_a
+        and all(v in dom_b for v in f_a.values())
+        and all(v in dom_a for v in f_b.values())
+    )
+
+
+def pointer_chase(
+    f_a: Mapping[int, int] | Sequence[int], f_b: Mapping[int, int] | Sequence[int], k: int
+) -> int:
+    """Final pointer after k alternating hops from 0 (f_a moves first)."""
+    p = 0
+    for r in range(1, k + 1):
+        p = f_a[p] if r % 2 else f_b[p]
+    return p
 
 
 def disj_edge_star(g: LabeledGraph) -> bool:

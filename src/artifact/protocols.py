@@ -1,9 +1,9 @@
 """Reference protocols for the decision-language suite, one per upper bound.
 
 Every protocol here is deterministic and is exhaustively tested for verdict
-agreement against its language oracle over enumerated instance families. All
-of them treat malformed instances by rejecting at (at least) the node that
-detects the problem — never by raising.
+agreement against its language oracle over enumerated instance families
+(`sweep`). All of them treat malformed instances by rejecting at (at least)
+the node that detects the problem — never by raising.
 
 Wire conventions: integers are framed at fixed widths (node ids at the id
 wire width of the run, id-1 in max(1, ceil(log2 N)) bits); degree fields use
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._bits import (
     bytes_to_bits,
@@ -26,9 +27,17 @@ from ._bits import (
     id_width,
 )
 from ._codec import bits_to_obj, obj_to_bits
-from .engine import Inbox, NodeView, Protocol, RoundKind, Schedule, default_bandwidth
-from .graphs import BITS_KIND, INDEX_KIND, PAIR_KIND, Label, decode_pointer_map
-from .languages import disjoint
+from .engine import Inbox, NodeView, Protocol, RoundKind, Schedule, default_bandwidth, run
+from .graphs import (
+    BITS_KIND,
+    INDEX_KIND,
+    PAIR_KIND,
+    Label,
+    LabeledGraph,
+    decode_pointer_map,
+    enumerate_small_instances,
+)
+from .languages import disjoint, membership
 
 
 def _deg_code(d: int) -> str:
@@ -1023,112 +1032,17 @@ class NamedProtocol:
     family: str
 
 
-def proto_one_marked_edge() -> NamedProtocol:
-    return NamedProtocol(
-        "one-marked-edge",
-        OneMarkedEdgeProtocol(),
-        Schedule.parse("C,B"),
-        "one-marked-edge",
-        "one-marked-edge",
-    )
-
-
-def proto_xor_index_path() -> NamedProtocol:
-    return NamedProtocol(
-        "xor-index-path",
-        XorIndexPathProtocol(),
-        Schedule.parse("B,C"),
-        "xor-index-path",
-        "xor-index-path",
-    )
-
-
-def proto_tomdf() -> NamedProtocol:
-    return NamedProtocol(
-        "tomdf", TomdfProtocol(), Schedule.parse("B,L"), "tomdf", "tomdf"
-    )
-
-
-def proto_disj_clique() -> NamedProtocol:
-    return NamedProtocol(
-        "disj-on-clique",
-        DisjOnCliqueProtocol(),
-        Schedule.parse("C"),
-        "disj-on-clique",
-        "disj-on-clique",
-    )
-
-
-def proto_k_pclp(k: int) -> NamedProtocol:
-    return NamedProtocol(
-        f"k-pclp:k={k}",
-        KPclpProtocol(k),
-        Schedule.parse(f"B^{k}" if k > 1 else "B"),
-        f"k-pclp:k={k}",
-        "k-pclp",
-    )
-
-
-def proto_special_disjointness() -> NamedProtocol:
-    return NamedProtocol(
-        "special-disjointness",
-        SpecialDisjointnessProtocol(),
-        Schedule.parse("L,C"),
-        "special-disjointness",
-        "special-disjointness",
-    )
-
-
-def proto_disj_on_edge() -> NamedProtocol:
-    return NamedProtocol(
-        "disj-on-edge",
-        DisjOnEdgeProtocol(),
-        Schedule.parse("L"),
-        "disj-on-edge",
-        "disj-on-edge",
-    )
-
-
-def proto_disj_on_path() -> NamedProtocol:
-    return NamedProtocol(
-        "disj-on-path",
-        DisjOnPathProtocol(),
-        Schedule.parse("L,L"),
-        "disj-on-path",
-        "disj-on-path",
-    )
-
-
-def proto_disj_edge_star() -> NamedProtocol:
-    return NamedProtocol(
-        "disj-edge-star",
-        DisjEdgeStarProtocol(),
-        Schedule.parse("C,L"),
-        "disj-edge-star",
-        "disj-edge-star",
-    )
-
-
-def proto_disj_4partite() -> NamedProtocol:
-    return NamedProtocol(
-        "disj-4partite",
-        Disj4PartiteProtocol(),
-        Schedule.parse("C,C"),
-        "disj-4partite",
-        "disj-4partite",
-    )
-
-
-_REGISTRY = {
-    "one-marked-edge": proto_one_marked_edge,
-    "xor-index-path": proto_xor_index_path,
-    "tomdf": proto_tomdf,
-    "disj-on-clique": proto_disj_clique,
-    "special-disjointness": proto_special_disjointness,
-    "disj-on-edge": proto_disj_on_edge,
-    "disj-on-path": proto_disj_on_path,
-    "disj-edge-star": proto_disj_edge_star,
-    "disj-4partite": proto_disj_4partite,
+# id -> (protocol class, schedule); for these rows name == language == family
+_SUITE = {
+    "one-marked-edge": (OneMarkedEdgeProtocol, "C,B"),
+    "xor-index-path": (XorIndexPathProtocol, "B,C"),
+    "tomdf": (TomdfProtocol, "B,L"),
+    "disj-on-clique": (DisjOnCliqueProtocol, "C"),
+    "special-disjointness": (SpecialDisjointnessProtocol, "L,C"),
+    "disj-on-edge": (DisjOnEdgeProtocol, "L"),
+    "disj-on-path": (DisjOnPathProtocol, "L,L"),
+    "disj-edge-star": (DisjEdgeStarProtocol, "C,L"),
+    "disj-4partite": (Disj4PartiteProtocol, "C,C"),
 }
 
 
@@ -1139,12 +1053,41 @@ def proto_registry(name: str) -> NamedProtocol:
         key, _, value = param.partition("=")
         if key != "k" or not value.isdigit() or int(value) < 1:
             raise ValueError(f"malformed protocol id {name!r}")
-        return proto_k_pclp(int(value))
+        k = int(value)
+        name = f"k-pclp:k={k}"
+        schedule = Schedule((RoundKind.BCC,) * k)
+        return NamedProtocol(name, KPclpProtocol(k), schedule, name, "k-pclp")
     try:
-        return _REGISTRY[name]()
+        cls, schedule = _SUITE[name]
     except KeyError:
         raise ValueError(f"unknown protocol {name!r}") from None
+    return NamedProtocol(name, cls(), Schedule.parse(schedule), name, name)
 
 
 def protocol_ids() -> tuple[str, ...]:
-    return tuple(_REGISTRY) + ("k-pclp:k=1", "k-pclp:k=2", "k-pclp:k=3")
+    return tuple(_SUITE) + ("k-pclp:k=1", "k-pclp:k=2", "k-pclp:k=3")
+
+
+class SweepResult(NamedTuple):
+    """Outcome of checking one suite protocol against its oracle."""
+
+    name: str
+    agree: int
+    total: int
+    counterexample: LabeledGraph | None  # first instance where they differ
+
+
+def sweep(name: str, max_n: int, seed: int = 0) -> SweepResult:
+    """Run protocol `name` on every instance of its family up to size max_n
+    and count the verdicts that match its language's membership oracle."""
+    named = proto_registry(name)
+    agree = total = 0
+    counterexample = None
+    for g in enumerate_small_instances(named.family, max_n):
+        got = run(named.protocol, g, named.schedule, seed=seed, record=False).verdict.accept
+        total += 1
+        if got == membership(named.language, g):
+            agree += 1
+        elif counterexample is None:
+            counterexample = g
+    return SweepResult(named.name, agree, total, counterexample)

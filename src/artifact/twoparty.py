@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 from ._bits import encode_int, is_bits
 from .engine import RunResult, run
 from .graphs import LabeledGraph
+from .languages import pointer_chase
 from .protocols import NamedProtocol
 
 __all__ = [
@@ -479,14 +480,6 @@ def cut_communication(named: NamedProtocol, graph: LabeledGraph, cfg: CutConfig,
 # pointer chasing
 
 
-def pointer_chase(f_a: Sequence[int], f_b: Sequence[int], k: int) -> int:
-    """Final pointer after k alternating hops from 0 (Alice moves first)."""
-    p = 0
-    for r in range(1, k + 1):
-        p = f_a[p] if r % 2 else f_b[p]
-    return p
-
-
 @dataclass(frozen=True)
 class PointerChaseRun:
     transcript: tuple[int, ...]
@@ -506,13 +499,9 @@ class PointerChasingProtocol:
             raise ValueError("instance does not match this protocol")
         f_a, f_b = tuple(inst.alice_input), tuple(inst.bob_input)
         width = max(1, (inst.n - 1).bit_length())
-        p = 0
-        sent = []
-        for r in range(1, self.k + 1):
-            p = f_a[p] if r % 2 else f_b[p]
-            sent.append(p)
+        p = pointer_chase(f_a, f_b, self.k)
         return PointerChaseRun(
-            transcript=tuple(sent),
+            transcript=tuple(pointer_chase(f_a, f_b, r) for r in range(1, self.k + 1)),
             pointer=p,
             output=bin(p).count("1") & 1,
             bits=self.k * width,

@@ -31,13 +31,12 @@ from artifact.graphs import (
     all_graphs,
     build_clique_bridge,
     build_xor_index_path,
-    enumerate_small_instances,
     marked_path,
     path_graph,
     random_labeled_graph,
 )
 from artifact.languages import membership
-from artifact.protocols import FullStateStressProtocol, proto_registry, protocol_ids
+from artifact.protocols import FullStateStressProtocol, proto_registry, sweep
 from artifact.transforms import normalize_lb, triangle_freeness_via_tomdf
 from artifact.twoparty import (
     CutConfig,
@@ -75,34 +74,35 @@ def report(num: str, ok: bool, detail: str = "") -> None:
 # exhaustive enumeration of its gadget family at the stated sizes.
 
 SWEEP_SIZES = [
-    ("one-marked-edge", 6, None),
-    ("xor-index-path", 3, None),
-    ("tomdf", 5, None),
-    ("disj-on-clique", 3, None),
-    ("k-pclp:k=1", 4, 1),
-    ("k-pclp:k=2", 4, 2),
-    ("k-pclp:k=3", 4, 3),
-    ("special-disjointness", 3, None),
-    ("disj-on-edge", 3, None),
-    ("disj-on-path", 3, None),
-    ("disj-edge-star", 3, None),
-    ("disj-4partite", 3, None),
+    ("one-marked-edge", 6),
+    ("xor-index-path", 3),
+    ("tomdf", 5),
+    ("disj-on-clique", 3),
+    ("k-pclp:k=1", 4),
+    ("k-pclp:k=2", 4),
+    ("k-pclp:k=3", 4),
+    ("special-disjointness", 3),
+    ("disj-on-edge", 3),
+    ("disj-on-path", 3),
+    ("disj-edge-star", 3),
+    ("disj-4partite", 3),
 ]
 
 
 def test_criterion_01_protocol_oracle_equivalence():
     started = time.monotonic()
-    checked = 0
-    for name, max_size, k in SWEEP_SIZES:
-        named = proto_registry(name)
-        for g in enumerate_small_instances(named.family, max_size, k=k):
-            want = membership(named.language, g)
-            got = run(named.protocol, g, named.schedule, record=False).verdict.accept
-            assert got == want, (name, g)
-            checked += 1
+    agree = checked = 0
+    first_bad = None
+    for name, max_size in SWEEP_SIZES:
+        result = sweep(name, max_size)
+        agree += result.agree
+        checked += result.total
+        if first_bad is None and result.counterexample is not None:
+            first_bad = (name, result.counterexample.to_json())
     elapsed = time.monotonic() - started
     ok = elapsed < 300
-    report("1", ok, f"{checked} instances agree in {elapsed:.1f}s")
+    report("1", ok and first_bad is None, f"{agree}/{checked} instances agree in {elapsed:.1f}s")
+    assert first_bad is None, first_bad
     assert ok, f"sweep took {elapsed:.1f}s"
 
 
@@ -141,12 +141,9 @@ def test_criterion_02_bandwidth_contract():
     for n in (2, 16, 33):
         assert default_bandwidth(n) == 4 * math.ceil(math.log2(max(n, 2)))
     ran = 0
-    for name, _, k in SWEEP_SIZES:
-        named = proto_registry(name)
-        size = 4 if named.family == "k-pclp" else 2
-        for g in enumerate_small_instances(named.family, size, k=k):
-            run(named.protocol, g, named.schedule, record=False)  # must not raise
-            ran += 1
+    for name, _ in SWEEP_SIZES:
+        size = 4 if name.startswith("k-pclp") else 2
+        ran += sweep(name, size).total  # every run must stay within the cap
 
     mutations = 0
     cases = [

@@ -3,8 +3,16 @@ import re
 
 import pytest
 
+from artifact import languages, protocols
 from artifact.cli import main, parse_generator, parse_node_set
-from artifact.graphs import InvalidInstanceError, marked_path
+from artifact.engine import run
+from artifact.graphs import (
+    InvalidInstanceError,
+    LabeledGraph,
+    enumerate_small_instances,
+    marked_path,
+)
+from artifact.protocols import proto_registry
 
 
 def test_simulate_accepting_instance(capsys):
@@ -138,6 +146,29 @@ def test_verify_single_family(capsys):
     code = main(["verify", "--only", "xor-index-path", "--max-n", "2"])
     assert code == 0
     assert "xor-index-path: 64/64 agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrong", ["inverted", "rejects-all"])
+def test_verify_prints_first_counterexample(capsys, monkeypatch, wrong):
+    real = languages.membership
+    fake = (lambda lang, g: not real(lang, g)) if wrong == "inverted" else (lambda lang, g: False)
+    monkeypatch.setattr(protocols, "membership", fake)
+    code = main(["verify", "--only", "xor-index-path", "--max-n", "2"])
+    assert code == 1
+    line, = capsys.readouterr().out.splitlines()
+    head, _, text = line.partition("; first counterexample ")
+    assert re.fullmatch(r"xor-index-path: \d+/64 agree", head)
+    g = LabeledGraph.from_json(text)
+    assert g.to_json() == text
+    named = proto_registry("xor-index-path")
+
+    def disagrees(h):
+        return run(named.protocol, h, named.schedule).verdict.accept != fake(named.language, h)
+
+    assert disagrees(g)
+    assert g == next(h for h in enumerate_small_instances(named.family, 2) if disagrees(h))
+    if wrong == "inverted":
+        assert head == "xor-index-path: 0/64 agree"
 
 
 def test_reduce_reports_totals(capsys):

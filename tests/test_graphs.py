@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.graphs import (
+    _FAMILIES,
     EnumerationTooLargeError,
     InvalidInstanceError,
     Label,
@@ -233,25 +236,41 @@ def test_all_graphs_count():
     assert sum(1 for _ in all_graphs(1)) == 1
 
 
-@pytest.mark.parametrize(
-    "family,max_size,k",
-    [
-        ("one-marked-edge", 4, None),
-        ("xor-index-path", 2, None),
-        ("disj-on-clique", 2, None),
-        ("disj-on-edge", 3, None),
-        ("disj-on-path", 2, None),
-        ("tomdf", 4, None),
-        ("k-pclp", 3, 2),
-        ("special-disjointness", 2, None),
-        ("disj-edge-star", 2, None),
-        ("disj-4partite", 2, None),
-    ],
-)
-def test_count_matches_enumeration(family, max_size, k):
-    got = sum(1 for _ in enumerate_small_instances(family, max_size, k=k))
-    assert got == count_instances(family, max_size, k=k)
+# sha256 over the JSON of every instance, in order, one line each; pinned
+# from the if/elif enumeration that the family table replaced
+ENUMERATION_DIGESTS = {
+    ("one-marked-edge", 4): "45892741a3f64268be3d42e1d27421c7ae765bf97191dd02a88f063fd41dac4d",
+    ("xor-index-path", 2): "f70ad78abc4d2969fa15917aa21bfe4c4a1f86a691d1191d2170e03c67026e66",
+    ("disj-on-clique", 2): "7ee3ba02c993ea20885bcf274e5edb03e32b581e73db47cd8c5a666fe37cf6af",
+    ("disj-on-edge", 3): "2d4a1af90bdf046583877efb0a14373ca9a1f4b319b92ec9718adb7a0aecdc3b",
+    ("disj-on-path", 2): "fa8a4aa424a215d2116038efebf14599e3028a1f7e13a795a560ee9448021053",
+    ("tomdf", 4): "9dcb79ed2414be527c45ae32b78ca6f37b3ca2372a54cc96bf99efafd6633627",
+    ("triangle-freeness", 4): "9dcb79ed2414be527c45ae32b78ca6f37b3ca2372a54cc96bf99efafd6633627",
+    ("k-pclp", 3): "5e968c9a4f1123548d6f27783e914dd85b6caac5d1ee4f6987852edfcf061d44",
+    ("k-pclp", 4): "5ad517adebbc610a2770fb4488a8dfe610079f85d5e158039cf5ce6f4c9dab38",
+    ("special-disjointness", 2): "9c68b26dae238f76c78e9edcd9ecfb2a29c414fd38c75f83edc755279608b80d",
+    ("disj-edge-star", 2): "be7ca7e52dc1c346d81fb1a269b1050a8b426e9a5d2dde0c48e7843913d9938e",
+    ("disj-4partite", 2): "85b741583bc8651ccde79cde4136de3c82da05c1e977a8cfc5f8b76107ee0269",
+}
+
+
+def test_digests_cover_every_family():
+    assert {family for family, _ in ENUMERATION_DIGESTS} == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("family,max_size", list(ENUMERATION_DIGESTS))
+def test_count_matches_enumeration(family, max_size):
+    got = sum(1 for _ in enumerate_small_instances(family, max_size))
+    assert got == count_instances(family, max_size)
     assert got > 0
+
+
+@pytest.mark.parametrize("family,max_size", list(ENUMERATION_DIGESTS))
+def test_enumeration_order_is_pinned(family, max_size):
+    h = hashlib.sha256()
+    for g in enumerate_small_instances(family, max_size):
+        h.update(g.to_json().encode() + b"\n")
+    assert h.hexdigest() == ENUMERATION_DIGESTS[family, max_size]
 
 
 def test_enumeration_instances_are_distinct():

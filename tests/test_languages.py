@@ -1,6 +1,7 @@
 import pytest
 
 from artifact.graphs import (
+    Label,
     build_disj_4partite,
     build_disj_edge_star,
     build_disj_on_clique,
@@ -11,6 +12,7 @@ from artifact.graphs import (
     build_xor_index_path,
     clique_graph,
     cycle_graph,
+    encode_pointer_map,
     marked_clique,
     marked_path,
     path_graph,
@@ -130,13 +132,28 @@ def test_k_pclp_and_pointer_chase():
     f_b = {1: 2, 3: 0}
     # chase from 0: f_a[0]=1, then f_b[1]=2 — odd parity each prefix here
     assert pointer_chase(f_a, f_b, 1) == 1
-    assert pointer_chase(f_a, f_b, 2) == 1
+    assert pointer_chase(f_a, f_b, 2) == 2
     g = build_kpclp_path(f_a, f_b, 4)
     assert k_pclp(g, 1)
     assert k_pclp(g, 2)
     f_b2 = {1: 0, 3: 0}  # f_a[0]=1, f_b2[1]=0: popcount(0) is even
     assert pointer_chase(f_a, f_b2, 2) == 0
     assert not k_pclp(build_kpclp_path(f_a, f_b2, 4), 2)
+
+
+def test_k_pclp_rejects_malformed_maps():
+    # each chase below ends on a pointer of odd popcount: only the domain
+    # checks reject
+    # f_b maps 1 into its own domain
+    assert not k_pclp(build_kpclp_path({0: 1, 2: 3}, {1: 1, 3: 0}, 4), 2)
+    # domains {0} and {2} leave 1 uncovered
+    ends = {1: {0: 2}, 8: {2: 0}}
+    labels = {v: Label.of_bits(encode_pointer_map(f, 4)) for v, f in ends.items()}
+    assert not k_pclp(path_graph(8, labels), 1)
+    # both domains hold 0
+    ends = {1: {0: 1, 2: 3}, 8: {0: 1, 1: 2, 3: 0}}
+    labels = {v: Label.of_bits(encode_pointer_map(f, 4)) for v, f in ends.items()}
+    assert not k_pclp(path_graph(8, labels), 1)
 
 
 def test_language_registry():

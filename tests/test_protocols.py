@@ -11,18 +11,21 @@ from artifact.graphs import (
     build_special_disjointness,
     build_xor_index_path,
     clique_graph,
+    count_instances,
     enumerate_small_instances,
     marked_path,
     path_graph,
 )
-from artifact.languages import membership, parse_language_id
+from artifact.languages import membership
 from artifact.protocols import (
     FullStateStressProtocol,
     NamedProtocol,
     _reconstruct_path,
     proto_registry,
     protocol_ids,
+    sweep,
 )
+from artifact.transforms import triangle_freeness_via_tomdf
 
 
 def outcome(name, graph, seed=0):
@@ -48,6 +51,32 @@ def test_proto_registry_parses_parameters():
     assert named.language == "k-pclp:k=2"
     with pytest.raises(ValueError):
         proto_registry("half-marked-edge")
+
+
+# the suite at the commit that turned the hand-written factories into a table
+REGISTRY_ROWS = [
+    ("one-marked-edge", "OneMarkedEdgeProtocol", "C,B", "one-marked-edge"),
+    ("xor-index-path", "XorIndexPathProtocol", "B,C", "xor-index-path"),
+    ("tomdf", "TomdfProtocol", "B,L", "tomdf"),
+    ("disj-on-clique", "DisjOnCliqueProtocol", "C", "disj-on-clique"),
+    ("special-disjointness", "SpecialDisjointnessProtocol", "L,C", "special-disjointness"),
+    ("disj-on-edge", "DisjOnEdgeProtocol", "L", "disj-on-edge"),
+    ("disj-on-path", "DisjOnPathProtocol", "L^2", "disj-on-path"),
+    ("disj-edge-star", "DisjEdgeStarProtocol", "C,L", "disj-edge-star"),
+    ("disj-4partite", "Disj4PartiteProtocol", "C^2", "disj-4partite"),
+    ("k-pclp:k=1", "KPclpProtocol", "B", "k-pclp"),
+    ("k-pclp:k=2", "KPclpProtocol", "B^2", "k-pclp"),
+    ("k-pclp:k=3", "KPclpProtocol", "B^3", "k-pclp"),
+]
+
+
+def test_registry_rows_are_pinned():
+    assert protocol_ids() == tuple(row[0] for row in REGISTRY_ROWS)
+    for name, cls, schedule, family in REGISTRY_ROWS:
+        named = proto_registry(name)
+        assert (named.name, named.language, named.family) == (name, name, family)
+        assert type(named.protocol).__name__ == cls
+        assert named.schedule.text == schedule
 
 
 def test_named_protocol_shape():
@@ -135,11 +164,19 @@ def test_disj_on_edge_verdicts():
     [("xor-index-path", 2), ("one-marked-edge", 4), ("disj-on-edge", 3)],
 )
 def test_small_sweep_matches_oracle(name, max_size):
-    named = proto_registry(name)
-    _, k = parse_language_id(named.language)
-    for g in enumerate_small_instances(named.family, max_size, k=k):
-        got = run(named.protocol, g, named.schedule, record=False).verdict.accept
-        assert got == membership(named.language, g), g
+    result = sweep(name, max_size)
+    assert result.counterexample is None, result.counterexample.to_json()
+    assert result.agree == result.total > 0
+
+
+@pytest.mark.parametrize(
+    "named",
+    [proto_registry(name) for name in protocol_ids()] + [triangle_freeness_via_tomdf(3)],
+    ids=lambda named: named.name,
+)
+def test_every_suite_family_enumerates(named):
+    instances = list(enumerate_small_instances(named.family, 2))
+    assert len(instances) == count_instances(named.family, 2) > 0
 
 
 def test_mark_mutation_flips_with_the_oracle():
