@@ -7,6 +7,8 @@ counters) are framed at fixed widths so receivers can slice deterministically.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 def is_bits(s: object) -> bool:
     """True iff *s* is a str containing only '0'/'1' (empty string allowed)."""
@@ -42,17 +44,22 @@ def id_width(big_n: int) -> int:
     return max(1, (big_n - 1).bit_length())
 
 
-def encode_id(node_id: int, big_n: int) -> str:
-    if not 1 <= node_id <= big_n:
-        raise ValueError(f"id {node_id} outside [1, {big_n}]")
-    return encode_int(node_id - 1, id_width(big_n))
+def encode_ids(ids: Iterable[int], w: int) -> str:
+    """Frame node ids from [1, 2**w] as consecutive w-bit fields of id-1."""
+    fmt = f"0{w}b"
+    out = []
+    for u in ids:
+        if not 1 <= u <= 1 << w:
+            raise ValueError(f"id {u} does not fit in width {w}")
+        out.append(format(u - 1, fmt))
+    return "".join(out)
 
 
-def decode_id(bits: str, big_n: int) -> int:
-    value = decode_int(bits) + 1
-    if not 1 <= value <= big_n:
-        raise ValueError(f"decoded id {value} outside [1, {big_n}]")
-    return value
+def decode_ids(bits: str, w: int) -> tuple[int, ...]:
+    """Inverse of encode_ids; the length of *bits* must be a multiple of w."""
+    if len(bits) % w:
+        raise ValueError(f"{len(bits)} bits do not split into {w}-bit ids")
+    return tuple(int(bits[t : t + w], 2) + 1 for t in range(0, len(bits), w))
 
 
 def bytes_to_bits(data: bytes) -> str:
@@ -68,9 +75,3 @@ def bits_to_bytes(bits: str) -> bytes:
         raise ValueError("bit string may contain only '0' and '1'")
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
-
-def bit_at(bits: str, index: int) -> bool:
-    """1-indexed bit lookup: bit_at(x, j) is the j-th bit of x, MSB first."""
-    if not 1 <= index <= len(bits):
-        raise IndexError(f"index {index} outside [1, {len(bits)}]")
-    return bits[index - 1] == "1"

@@ -323,7 +323,8 @@ def run(
                         raise BandwidthViolationError(round_index, v, len(payload), bw)
                     transcript._add(round_index, kind_char, v, u, payload)
                     buckets[u].append((v, payload))
-            inboxes = {v: tuple(sorted(buckets[v])) for v in nodes}
+            # senders ran in id order and name each receiver once: already sorted
+            inboxes = {v: tuple(buckets[v]) for v in nodes}
 
     per_node = {v: bool(protocol.decide(states[v], inboxes[v])) for v in nodes}
     return RunResult(Verdict(per_node), transcript, states, inboxes)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations, product, starmap
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._bits import is_bits
@@ -172,6 +173,11 @@ class LabeledGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
+
+    @property
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only node -> sorted neighbour tuple mapping."""
+        return MappingProxyType(self._adj)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -408,16 +414,21 @@ def decode_pointer_map(bits: str) -> tuple[dict[int, int], int]:
     return g, n
 
 
+def partitions_domain(f_a: Mapping[int, int], f_b: Mapping[int, int], n: int) -> bool:
+    """The two pointer-map halves have disjoint domains covering {0..n-1}."""
+    dom_a, dom_b = set(f_a), set(f_b)
+    return not dom_a & dom_b and dom_a | dom_b == set(range(n))
+
+
 def build_kpclp_path(f_a: Mapping[int, int], f_b: Mapping[int, int], n: int) -> LabeledGraph:
     """Path on 2n nodes whose endpoints carry the two halves of a pointer map.
 
     f_a and f_b must have disjoint domains covering {0..n-1} with 0 in f_a's
     domain; endpoint 1 encodes f_a, endpoint 2n encodes f_b.
     """
-    dom_a, dom_b = set(f_a), set(f_b)
-    if dom_a & dom_b or dom_a | dom_b != set(range(n)):
+    if not partitions_domain(f_a, f_b, n):
         raise InvalidInstanceError("domains must partition {0..n-1}")
-    if 0 not in dom_a or not dom_b:
+    if 0 not in f_a or not f_b:
         raise InvalidInstanceError("0 must be on the first side and both sides nonempty")
     labels = {
         1: Label.of_bits(encode_pointer_map(f_a, n)),

@@ -18,6 +18,7 @@ from .graphs import (
     Label,
     LabeledGraph,
     decode_pointer_map,
+    partitions_domain,
 )
 
 
@@ -28,30 +29,32 @@ def disjoint(x: str, y: str) -> bool:
     return not any(a == "1" and b == "1" for a, b in zip(x, y))
 
 
-def path_order(g: LabeledGraph) -> list[int] | None:
-    """Node ids in path order, or None if the graph is not a simple path.
+def path_order(adj: Mapping[int, Sequence[int]]) -> list[int] | None:
+    """Node ids in path order, or None if the node -> neighbours mapping is
+    not a simple path.
 
     The returned orientation starts at the smaller-id endpoint. A single node
-    is the trivial path.
+    is the trivial path. The mapping may be claimed rather than a graph's
+    (protocols rebuild it from broadcasts), so it need not be symmetric: the
+    walk also checks that each next node is in the mapping and not yet seen.
     """
-    if g.n == 1:
-        return [g.nodes[0]] if not g.edges else None
-    if len(g.edges) != g.n - 1:
-        return None
-    ends = [v for v in g.nodes if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in g.nodes):
+    if len(adj) == 1:
+        (v, ns), = adj.items()
+        return [v] if not ns else None
+    ends = [v for v, ns in adj.items() if len(ns) == 1]
+    if len(ends) != 2 or any(len(ns) not in (1, 2) for ns in adj.values()):
         return None
     order = [min(ends)]
+    seen = {order[0]}
     prev = None
-    while len(order) < g.n:
-        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
-        if len(nxt) != 1:
+    while len(order) < len(adj):
+        candidates = [w for w in adj[order[-1]] if w != prev]
+        if len(candidates) != 1 or candidates[0] not in adj or candidates[0] in seen:
             return None
         prev = order[-1]
-        order.append(nxt[0])
-    if order[-1] != max(ends):
-        return None  # disconnected (path component plus something else)
-    return order
+        order.append(candidates[0])
+        seen.add(candidates[0])
+    return order if order[-1] == max(ends) else None
 
 
 def _triangles(g: LabeledGraph):
@@ -94,7 +97,7 @@ def xor_index_path(g: LabeledGraph) -> bool:
     other arm, and an index j at the far end. Membership requires the j-th bit
     of x to differ from the i-th bit of y.
     """
-    order = path_order(g)
+    order = path_order(g.adjacency)
     if order is None or len(order) < 5 or len(order) % 2 == 0:
         return False
     n = (len(order) - 1) // 2
@@ -166,7 +169,7 @@ def _middle_pair_path(g: LabeledGraph, offset: int) -> tuple[str, str, int] | No
     (offset, 2n-1-offset counted from one end); every other label blank.
     Returns (x, y, n) or None.
     """
-    order = path_order(g)
+    order = path_order(g.adjacency)
     if order is None or len(order) % 2:
         return None
     n = len(order) // 2
@@ -210,9 +213,7 @@ def disj_on_path(g: LabeledGraph) -> bool:
 def k_pclp(g: LabeledGraph, k: int) -> bool:
     """Path whose endpoint labels encode the two halves of an alternating
     pointer map; member iff popcount of the k-th chase value is odd."""
-    if k < 1:
-        return False
-    order = path_order(g)
+    order = path_order(g.adjacency)
     if order is None or len(order) < 2:
         return False
     if any(not g.label(v).is_blank for v in order[1:-1]):
@@ -234,22 +235,19 @@ def k_pclp(g: LabeledGraph, k: int) -> bool:
         f_a, f_b = g_v, g_u
     else:
         return False
-    if not _alternates(f_a, f_b):
+    if not _alternates(f_a, f_b, n_u):
         return False
     return bin(pointer_chase(f_a, f_b, k)).count("1") % 2 == 1
 
 
-def _alternates(f_a: dict[int, int], f_b: dict[int, int]) -> bool:
-    """The two domains are disjoint, jointly cover {0..n-1} with 0 on the
-    a-side, and each half maps into the other's domain."""
-    dom_a, dom_b = set(f_a), set(f_b)
-    n = len(dom_a) + len(dom_b)
+def _alternates(f_a: dict[int, int], f_b: dict[int, int], n: int) -> bool:
+    """The two domains partition the declared {0..n-1} with 0 on the a-side,
+    and each half maps into the other's domain."""
     return (
-        not dom_a & dom_b
-        and dom_a | dom_b == set(range(n))
-        and 0 in dom_a
-        and all(v in dom_b for v in f_a.values())
-        and all(v in dom_a for v in f_b.values())
+        partitions_domain(f_a, f_b, n)
+        and 0 in f_a
+        and all(v in f_b for v in f_a.values())
+        and all(v in f_a for v in f_b.values())
     )
 
 
@@ -402,21 +400,6 @@ def disj_4partite(g: LabeledGraph) -> bool:
 # ---------------------------------------------------------------------------
 # dispatcher
 
-LANGUAGE_IDS = (
-    "one-marked-edge",
-    "xor-index-path",
-    "tomdf",
-    "triangle-freeness",
-    "c4-freeness",
-    "disj-on-clique",
-    "disj-on-edge",
-    "disj-on-path",
-    "k-pclp",
-    "disj-edge-star",
-    "special-disjointness",
-    "disj-4partite",
-)
-
 _ORACLES = {
     "one-marked-edge": one_marked_edge,
     "xor-index-path": xor_index_path,
@@ -431,26 +414,28 @@ _ORACLES = {
     "disj-4partite": disj_4partite,
 }
 
+LANGUAGE_IDS = (*_ORACLES, "k-pclp")
+
 
 def parse_language_id(lang: str) -> tuple[str, int | None]:
-    """Split 'k-pclp:k=2' style ids into (name, k)."""
-    name, _, param = lang.partition(":")
-    if not param:
+    """Split an id into (name, k): 'k-pclp:k=K' carries its round count
+    K >= 1, every other id carries none. Raises ValueError otherwise."""
+    name, sep, param = lang.partition(":")
+    if name != "k-pclp":
+        if sep:
+            raise ValueError(f"malformed language id {lang!r}")
         return name, None
     key, _, value = param.partition("=")
-    if key != "k" or not value.isdigit():
+    if key != "k" or not value.isdigit() or int(value) < 1:
         raise ValueError(f"malformed language id {lang!r}")
     return name, int(value)
 
 
-def membership(lang: str, g: LabeledGraph, k: int | None = None) -> bool:
-    """Oracle dispatch by language id ('k-pclp' takes k, inline or keyword)."""
-    name, inline_k = parse_language_id(lang)
-    if name == "k-pclp":
-        kk = k if k is not None else inline_k
-        if kk is None:
-            raise ValueError("k-pclp needs its round parameter k")
-        return k_pclp(g, kk)
+def membership(lang: str, g: LabeledGraph) -> bool:
+    """Oracle dispatch by language id ('k-pclp:k=K' carries its round count)."""
+    name, k = parse_language_id(lang)
+    if k is not None:
+        return k_pclp(g, k)
     try:
         oracle = _ORACLES[name]
     except KeyError:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Container, Mapping, NamedTuple, Sequence
 
 from ._bits import (
     bytes_to_bits,
     count_width as _count_width,
+    decode_ids,
     decode_int,
+    encode_ids,
     encode_int,
     id_width,
 )
@@ -37,32 +39,31 @@ from .graphs import (
     decode_pointer_map,
     enumerate_small_instances,
 )
-from .languages import disjoint, membership
+from .languages import disjoint, membership, parse_language_id, path_order
 
 
 def _deg_code(d: int) -> str:
     return format(min(d, 3), "02b")
 
 
-def _reconstruct_path(adj: dict[int, tuple[int, ...]]) -> list[int] | None:
-    """Order the node set as a simple path from per-node neighbor lists."""
-    if len(adj) == 1:
-        (v, ns), = adj.items()
-        return [v] if not ns else None
-    ends = [v for v, ns in adj.items() if len(ns) == 1]
-    if len(ends) != 2 or any(len(ns) not in (1, 2) for ns in adj.values()):
-        return None
-    order = [min(ends)]
-    seen = {order[0]}
-    prev = None
-    while len(order) < len(adj):
-        candidates = [w for w in adj[order[-1]] if w != prev]
-        if len(candidates) != 1 or candidates[0] not in adj or candidates[0] in seen:
-            return None
-        prev = order[-1]
-        order.append(candidates[0])
-        seen.add(candidates[0])
-    return order if order[-1] == max(ends) else None
+def _records(inbox: Inbox) -> dict[int, object]:
+    """Each sender's unpickled record; None where the payload does not decode."""
+    records = {}
+    for sender, msg in inbox:
+        try:
+            records[sender] = bits_to_obj(msg)
+        except Exception:
+            records[sender] = None
+    return records
+
+
+def tomdf_holds_at(mine: Sequence[int], delta: int, adj: Mapping[int, Container[int]]) -> bool:
+    """The tomdf test at one node with neighbours `mine`: it holds unless the
+    node has the maximum degree `delta` and two of its neighbours are
+    adjacent according to `adj` (node -> its neighbours)."""
+    return len(mine) != delta or not any(
+        b in adj.get(a, ()) for i, a in enumerate(mine) for b in mine[i + 1 :]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +135,23 @@ class XorIndexPathProtocol(Protocol):
         deg = len(view.neighbors)
         if deg not in (1, 2):
             return "0" + _deg_code(deg)
-        msg = "1" + _deg_code(deg)
-        for u in view.neighbors:
-            msg += encode_int(u - 1, w)
+        msg = "1" + _deg_code(deg) + encode_ids(view.neighbors, w)
         if deg == 1:
             lab = view.label
             if lab.kind != INDEX_KIND or lab.index > (1 << w):
                 return "0" + _deg_code(deg)
-            msg += encode_int(lab.index - 1, w)
+            msg += encode_ids((lab.index,), w)
         return msg
 
     @staticmethod
     def _parse(msg: str, w: int):
-        """Return (deg, nbrs, idx) or None for an explicit failure flag or
-        malformed framing."""
-        if len(msg) < 3 or msg[0] != "1":
+        """Return (nbrs, idx) or None for an explicit failure flag or
+        malformed framing. Either degree sends two id fields: both
+        neighbours, or the one neighbour and the index."""
+        if len(msg) != 3 + 2 * w or msg[0] != "1" or msg[1:3] not in ("01", "10"):
             return None
-        deg = int(msg[1:3], 2)
-        if deg not in (1, 2):
-            return None
-        body = msg[3:]
-        want = deg * w + (w if deg == 1 else 0)
-        if len(body) != want:
-            return None
-        nbrs = tuple(decode_int(body[t * w : (t + 1) * w]) + 1 for t in range(deg))
-        idx = decode_int(body[deg * w :]) + 1 if deg == 1 else None
-        return deg, nbrs, idx
+        ids = decode_ids(msg[3:], w)
+        return (ids, None) if msg[1:3] == "10" else (ids[:1], ids[1])
 
     def round(self, state, index, kind, inbox):
         view: NodeView = state["view"]
@@ -177,11 +169,10 @@ class XorIndexPathProtocol(Protocol):
             if parsed is None:
                 state["global_ok"] = False
                 return state, {}
-            deg, nbrs, idx = parsed
-            adj[sender] = nbrs
+            adj[sender], idx = parsed
             if idx is not None:
                 idx_of[sender] = idx
-        order = _reconstruct_path(adj)
+        order = path_order(adj)
         if order is None or len(order) % 2 == 0 or len(order) < 5:
             state["global_ok"] = False
             return state, {}
@@ -254,8 +245,7 @@ class TomdfProtocol(Protocol):
                 return state, {}
             degs.append(decode_int(msg))
         state["delta"] = max(degs)
-        w = state["w"]
-        listing = "".join(encode_int(u - 1, w) for u in view.neighbors)
+        listing = encode_ids(view.neighbors, state["w"])
         return state, {u: listing for u in view.neighbors}
 
     def decide(self, state, inbox):
@@ -265,20 +255,10 @@ class TomdfProtocol(Protocol):
         if len(view.neighbors) != state["delta"]:
             return True
         w = state["w"]
-        nbr_sets: dict[int, set[int]] = {}
-        for sender, msg in inbox:
-            if len(msg) % w:
-                return False
-            nbr_sets[sender] = {
-                decode_int(msg[t * w : (t + 1) * w]) + 1 for t in range(len(msg) // w)
-            }
-        mine = view.neighbors
-        for a_pos in range(len(mine)):
-            for b_pos in range(a_pos + 1, len(mine)):
-                u, v = mine[a_pos], mine[b_pos]
-                if v in nbr_sets.get(u, ()):
-                    return False
-        return True
+        if any(len(msg) % w for _, msg in inbox):
+            return False
+        nbr_lists = {sender: decode_ids(msg, w) for sender, msg in inbox}
+        return tomdf_holds_at(view.neighbors, state["delta"], nbr_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +307,11 @@ class DisjOnCliqueProtocol(Protocol):
 
 class KPclpProtocol(Protocol):
     """Round 1: everyone broadcasts its neighbor ids; the endpoint holding 0
-    also broadcasts the first chase value and its declared domain size. The
-    endpoints then alternate broadcasting successive chase values, one per
-    round. Everyone rebuilds the path, tracks the chase, and accepts iff the
-    structure holds, all k values arrived on schedule, and the final value has
-    odd popcount.
+    also broadcasts the first chase value and its declared domain size, the
+    other endpoint the size of its half of the map. The endpoints then
+    alternate broadcasting successive chase values, one per round. Everyone
+    rebuilds the path, tracks the chase, and accepts iff the structure holds,
+    all k values arrived on schedule, and the final value has odd popcount.
 
     Locality note: each endpoint can vet only its own half of the map (plus
     the incoming values landing in its domain); a forged label pair with
@@ -379,44 +359,46 @@ class KPclpProtocol(Protocol):
             return "11"
         deg = len(view.neighbors)
         if deg == 2:
-            return "00" + "".join(encode_int(u - 1, w) for u in view.neighbors)
+            return "00" + encode_ids(view.neighbors, w)
         if deg != 1:
             return "11"
-        nbr = encode_int(view.neighbors[0] - 1, w)
+        nbr = encode_ids(view.neighbors, w)
         g, ndom = state["map"], state["ndom"]
         if state["starts"] and ndom <= (1 << w) and g[0] < (1 << w):
             return "01" + nbr + encode_int(g[0], w) + encode_int(ndom - 1, w)
-        if state["starts"]:
-            state["bad"] = True  # undecodable on the wire
-        return "10" + nbr
+        size = len(g) if g is not None else 0
+        if state["starts"] or size >= 1 << w:
+            state["bad"], size = True, 0  # undecodable on the wire
+        return "10" + nbr + encode_int(size, w)
 
     def _digest_round1(self, state, inbox):
         w = state["w"]
         adj: dict[int, tuple[int, ...]] = {}
         a_end = b_end = None
-        v1 = ndom_a = None
+        v1 = ndom_a = size_b = None
         for sender, msg in inbox:
             code, body = msg[:2], msg[2:]
             if code == "00" and len(body) == 2 * w:
-                adj[sender] = (decode_int(body[:w]) + 1, decode_int(body[w:]) + 1)
+                adj[sender] = decode_ids(body, w)
             elif code == "01" and len(body) == 3 * w:
                 if a_end is not None:
                     state["struct_bad"] = True
                     return
                 a_end = sender
-                adj[sender] = (decode_int(body[:w]) + 1,)
+                adj[sender] = decode_ids(body[:w], w)
                 v1 = decode_int(body[w : 2 * w])
                 ndom_a = decode_int(body[2 * w :]) + 1
-            elif code == "10" and len(body) == w:
+            elif code == "10" and len(body) == 2 * w:
                 if b_end is not None:
                     state["struct_bad"] = True
                     return
                 b_end = sender
-                adj[sender] = (decode_int(body) + 1,)
+                adj[sender] = decode_ids(body[:w], w)
+                size_b = decode_int(body[w:])
             else:
                 state["struct_bad"] = True
                 return
-        order = _reconstruct_path(adj)
+        order = path_order(adj)
         if (
             order is None
             or len(order) < 4
@@ -436,8 +418,9 @@ class KPclpProtocol(Protocol):
             elif not all(val not in state["map"] for val in state["map"].values()):
                 state["bad"] = True
         if view.node == a_end:
+            # the two halves must split the declared domain between them
             g = state["map"]
-            if not all(val not in g for val in g.values()):
+            if not all(val not in g for val in g.values()) or len(g) + size_b != state["ndom"]:
                 state["bad"] = True
 
     def _digest_eval(self, state, round_completed: int, inbox):
@@ -551,13 +534,7 @@ class SpecialDisjointnessProtocol(Protocol):
             }
             payload = obj_to_bits(record)
             return state, {u: payload for u in view.neighbors}
-        records = {}
-        for sender, msg in inbox:
-            try:
-                records[sender] = bits_to_obj(msg)
-            except Exception:
-                records[sender] = None
-        state["records"] = records
+        records = state["records"] = _records(inbox)
         out: dict[int, str] = {}
         if state["shape"] == ("spine", 1):
             vecs = [r["vec"] for r in records.values() if r and r["shape"] == ("pendant",)]
@@ -687,29 +664,26 @@ class DisjOnEdgeProtocol(Protocol):
         half = total // 2
         return {half - 1, half}
 
-    def decide(self, state, inbox):
+    def _fits_path(self, state, records) -> bool:
+        """Size guard, then: every neighbour's (degree, labeled) record arrived
+        and my local view fits some position of the expected labeled path."""
         view: NodeView = state["view"]
         total = view.n
         if total % 2 or total < 6 or not state["shape_ok"]:
             return False
-        n = total // 2
-        records = {}
-        for sender, msg in inbox:
-            try:
-                records[sender] = bits_to_obj(msg)
-            except Exception:
-                return False
-        if len(records) != len(view.neighbors):
+        if len(records) != len(view.neighbors) or None in records.values():
             return False
         reference = _path_views(total, self._labeled_positions(total))
-        labeled = state["vec"] is not None
-        profile = tuple(
-            sorted((r["deg"], r["vec"] is not None) for r in records.values())
-        )
-        if profile not in reference.get((len(view.neighbors), labeled), set()):
+        profile = tuple(sorted((r["deg"], r["vec"] is not None) for r in records.values()))
+        return profile in reference.get((len(view.neighbors), state["vec"] is not None), ())
+
+    def decide(self, state, inbox):
+        records = _records(inbox)
+        if not self._fits_path(state, records):
             return False
-        if not labeled:
+        if state["vec"] is None:
             return True
+        n = state["view"].n // 2
         if len(state["vec"]) != n:
             return False
         partner = [r["vec"] for r in records.values() if r["vec"] is not None]
@@ -732,40 +706,22 @@ class DisjOnPathProtocol(DisjOnEdgeProtocol):
         view: NodeView = state["view"]
         if index == 1:
             return super().round(state, index, kind, inbox)
-        records = {}
-        for sender, msg in inbox:
-            try:
-                records[sender] = bits_to_obj(msg)
-            except Exception:
-                records[sender] = None
-        state["r1"] = records
+        records = state["r1"] = _records(inbox)
         own = {"deg": len(view.neighbors), "vec": state["vec"]}
         relay = obj_to_bits({"own": own, "heard": records})
         return state, {u: relay for u in view.neighbors}
 
     def decide(self, state, inbox):
-        view: NodeView = state["view"]
-        total = view.n
-        if total % 2 or total < 6 or not state["shape_ok"]:
+        r1 = state.get("r1", {})
+        if not self._fits_path(state, r1):
             return False
-        n = total // 2
-        r1 = state.get("r1") or {}
-        if len(r1) != len(view.neighbors) or any(r is None for r in r1.values()):
-            return False
-        reference = _path_views(total, self._labeled_positions(total))
-        labeled = state["vec"] is not None
-        profile = tuple(sorted((r["deg"], r["vec"] is not None) for r in r1.values()))
-        if profile not in reference.get((len(view.neighbors), labeled), set()):
-            return False
-        if labeled:
+        n = state["view"].n // 2
+        if state["vec"] is not None:
             return len(state["vec"]) == n
         # unlabeled: decide disjointness when sitting between the two inputs
-        relays = {}
-        for sender, msg in inbox:
-            try:
-                relays[sender] = bits_to_obj(msg)
-            except Exception:
-                return False
+        relays = _records(inbox)
+        if None in relays.values():
+            return False
         my_labeled_nbrs = [s for s, r in r1.items() if r["vec"] is not None]
         if len(my_labeled_nbrs) != 1:
             return True
@@ -820,7 +776,6 @@ class DisjEdgeStarProtocol(Protocol):
             "role": role,
             "leaf_ok": leaf_ok,
             "vec": None,
-            "partner_seen": None,
         }
 
     def round(self, state, index, kind, inbox):
@@ -828,7 +783,7 @@ class DisjEdgeStarProtocol(Protocol):
         if index == 1:
             if state["role"] == "leaf" and state["leaf_ok"]:
                 lab = view.label
-                payload = lab.bits + encode_int(lab.index - 1, state["w"])
+                payload = lab.bits + encode_ids((lab.index,), state["w"])
                 return state, {view.neighbors[0]: payload}
             return state, {}
         # unbounded round: hubs talk
@@ -844,7 +799,7 @@ class DisjEdgeStarProtocol(Protocol):
                 if len(msg) != 1 + w:
                     ok = False
                     break
-                idx = decode_int(msg[1:]) + 1
+                (idx,) = decode_ids(msg[1:], w)
                 if not 1 <= idx <= m or vec[idx - 1] is not None:
                     ok = False
                     break
@@ -861,12 +816,7 @@ class DisjEdgeStarProtocol(Protocol):
         role = state["role"]
         if role == "bad":
             return False
-        records = {}
-        for sender, msg in inbox:
-            try:
-                records[sender] = bits_to_obj(msg)
-            except Exception:
-                records[sender] = None
+        records = _records(inbox)
         if role == "leaf":
             if not state["leaf_ok"]:
                 return False
@@ -1048,12 +998,8 @@ _SUITE = {
 
 def proto_registry(name: str) -> NamedProtocol:
     """Look up a suite protocol by id; 'k-pclp:k=2' carries its parameter."""
-    base, _, param = name.partition(":")
-    if base == "k-pclp":
-        key, _, value = param.partition("=")
-        if key != "k" or not value.isdigit() or int(value) < 1:
-            raise ValueError(f"malformed protocol id {name!r}")
-        k = int(value)
+    _, k = parse_language_id(name)
+    if k is not None:
         name = f"k-pclp:k={k}"
         schedule = Schedule((RoundKind.BCC,) * k)
         return NamedProtocol(name, KPclpProtocol(k), schedule, name, "k-pclp")

@@ -21,7 +21,7 @@ round of full-state traffic, which an unbounded round permits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 from ._bits import count_width as _count_width, decode_int, encode_int
 from ._codec import bits_to_obj, obj_to_bits
@@ -32,7 +32,7 @@ from .engine import (
     Schedule,
     default_bandwidth,
 )
-from .protocols import NamedProtocol
+from .protocols import NamedProtocol, tomdf_holds_at
 
 
 class UnsupportedScheduleError(ValueError):
@@ -165,71 +165,18 @@ def _chunks(bits: str, size: int) -> list[str]:
     return [bits[i : i + size] for i in range(0, len(bits), size)] or [""]
 
 
-class TomdfBccDecider(Protocol):
+class BroadcastRowDecider(Protocol):
     """Broadcast-only decider for the no-triangle-on-max-degree property:
     degrees first, then everyone's adjacency row (over rank order) in
-    bandwidth-sized chunks. Runs under tomdf_bcc_schedule(n)."""
+    `chunk(n)`-bit pieces. With `pad`, the degree exchange also fixes the
+    virtual pendant leaves that equalize all degrees, and the test runs on the
+    padded graph, which decides triangle-freeness: each real node answers for
+    itself and for its own pendants. Pendant rows are public knowledge, so
+    only real rows travel. Without `pad` every node has no pendants."""
 
-    def init(self, view: NodeView):
-        return {
-            "me": view.node,
-            "nbrs": set(view.neighbors),
-            "n": view.n,
-            "ranks": None,
-            "rows": {},
-        }
-
-    def round(self, state, index, kind, inbox):
-        n = state["n"]
-        bw = default_bandwidth(n)
-        if index == 1:
-            return state, encode_int(len(state["nbrs"]), _count_width(n))
-        if index == 2:
-            state = dict(state, ranks=tuple(sorted(v for v, _ in inbox)))
-        row = "".join("1" if u in state["nbrs"] else "0" for u in state["ranks"])
-        pieces = _chunks(row, bw)
-        chunk = pieces[index - 2] if index - 2 < len(pieces) else ""
-        for v, msg in inbox if index > 2 else ():
-            state["rows"][v] = state["rows"].get(v, "") + msg
-        return state, chunk
-
-    def decide(self, state, inbox):
-        for v, msg in inbox:
-            state["rows"][v] = state["rows"].get(v, "") + msg
-        ranks = state["ranks"]
-        rows = state["rows"]
-        if ranks is None or any(len(rows.get(v, "")) != len(ranks) for v in ranks):
-            return False
-        adj = {
-            v: {ranks[i] for i, b in enumerate(rows[v]) if b == "1"} for v in ranks
-        }
-        delta = max(len(adj[v]) for v in ranks)
-        mine = sorted(adj[state["me"]])
-        if len(mine) != delta:
-            return True
-        return not any(
-            b in adj[a] for i, a in enumerate(mine) for b in mine[i + 1 :]
-        )
-
-
-def tomdf_bcc_schedule(n: int) -> Schedule:
-    """Broadcast rounds needed by TomdfBccDecider on an n-node graph."""
-    rounds = 1 + math.ceil(n / default_bandwidth(n))
-    return Schedule.parse(f"B^{rounds}" if rounds > 1 else "B")
-
-
-def tomdf_bcc_decider(n: int) -> NamedProtocol:
-    return NamedProtocol(
-        "tomdf-bcc", TomdfBccDecider(), tomdf_bcc_schedule(n), "tomdf", "tomdf"
-    )
-
-
-class TriangleFreeViaTomdf(Protocol):
-    """Decides triangle-freeness by padding: after a degree exchange, every
-    node knows the virtual pendant layout that equalizes all degrees, and the
-    remaining broadcast rounds ship adjacency rows of the padded graph. Each
-    real node answers for itself and for its own pendants. Pendant rows are
-    public knowledge, so only real rows travel."""
+    def __init__(self, chunk: Callable[[int], int], pad: bool):
+        self.chunk = chunk
+        self.pad = pad
 
     def init(self, view: NodeView):
         return {
@@ -244,7 +191,6 @@ class TriangleFreeViaTomdf(Protocol):
         n = state["n"]
         if index == 1:
             return state, encode_int(len(state["nbrs"]), _count_width(n))
-        bw = composed_bandwidth(n)
         if index == 2:
             wd = _count_width(n)
             degrees = {}
@@ -252,7 +198,7 @@ class TriangleFreeViaTomdf(Protocol):
                 if len(msg) != wd:
                     return state, ""
                 degrees[v] = decode_int(msg)
-            pendants = _pendant_assignment(degrees)
+            pendants = _pendant_assignment(degrees) if self.pad else dict.fromkeys(degrees, ())
             padded = sorted(set(degrees) | {p for ps in pendants.values() for p in ps})
             state = dict(state, plan=(pendants, tuple(padded)))
         if state["plan"] is None:
@@ -260,7 +206,7 @@ class TriangleFreeViaTomdf(Protocol):
         pendants, padded = state["plan"]
         mine = state["nbrs"] | set(pendants[state["me"]])
         row = "".join("1" if u in mine else "0" for u in padded)
-        pieces = _chunks(row, bw)
+        pieces = _chunks(row, self.chunk(n))
         chunk = pieces[index - 2] if index - 2 < len(pieces) else ""
         for v, msg in inbox if index > 2 else ():
             state["rows"][v] = state["rows"].get(v, "") + msg
@@ -281,21 +227,31 @@ class TriangleFreeViaTomdf(Protocol):
             for p in ps:
                 adj[p] = {host}
         delta = max(len(s) for s in adj.values())
+        return all(
+            tomdf_holds_at(sorted(adj[v]), delta, adj)
+            for v in (state["me"], *pendants[state["me"]])
+        )
 
-        def ok(v: int) -> bool:
-            mine = sorted(adj[v])
-            if len(mine) != delta:
-                return True
-            return not any(
-                b in adj[a] for i, a in enumerate(mine) for b in mine[i + 1 :]
-            )
 
-        return ok(state["me"]) and all(ok(p) for p in pendants[state["me"]])
+def tomdf_bcc_schedule(n: int) -> Schedule:
+    """Broadcast rounds needed by tomdf_bcc_decider on an n-node graph."""
+    rounds = 1 + math.ceil(n / default_bandwidth(n))
+    return Schedule.parse(f"B^{rounds}" if rounds > 1 else "B")
+
+
+def tomdf_bcc_decider(n: int) -> NamedProtocol:
+    return NamedProtocol(
+        "tomdf-bcc",
+        BroadcastRowDecider(default_bandwidth, pad=False),
+        tomdf_bcc_schedule(n),
+        "tomdf",
+        "tomdf",
+    )
 
 
 def composed_bandwidth(n: int) -> int:
     """Bandwidth of the composed schedule: twice the default cap."""
-    return 8 * (max(n, 2) - 1).bit_length()
+    return 2 * default_bandwidth(n)
 
 
 def triangle_freeness_via_tomdf(n: int) -> NamedProtocol:
@@ -303,12 +259,10 @@ def triangle_freeness_via_tomdf(n: int) -> NamedProtocol:
     count is fixed from n alone via the worst-case padded size n**2."""
     padded_max = max(n * n, 1)
     rounds = 1 + math.ceil(padded_max / composed_bandwidth(n))
-    schedule = Schedule(
-        (RoundKind.BCC,) * rounds, bandwidth=lambda m: composed_bandwidth(m)
-    )
+    schedule = Schedule((RoundKind.BCC,) * rounds, bandwidth=composed_bandwidth)
     return NamedProtocol(
         "triangle-freeness-via-tomdf",
-        TriangleFreeViaTomdf(),
+        BroadcastRowDecider(composed_bandwidth, pad=True),
         schedule,
         "triangle-freeness",
         "triangle-freeness",

@@ -3,13 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact._bits import (
-    bit_at,
     bits_to_bytes,
     bytes_to_bits,
     count_width,
-    decode_id,
+    decode_ids,
     decode_int,
-    encode_id,
+    encode_ids,
     encode_int,
     id_width,
     is_bits,
@@ -53,8 +52,17 @@ def test_id_width():
 
 def test_id_round_trip():
     for big_n in (1, 2, 7, 16, 33):
-        for node in range(1, big_n + 1):
-            assert decode_id(encode_id(node, big_n), big_n) == node
+        w = id_width(big_n)
+        ids = tuple(range(1, big_n + 1))
+        bits = encode_ids(ids, w)
+        assert bits == "".join(encode_int(u - 1, w) for u in ids)
+        assert decode_ids(bits, w) == ids
+    assert encode_ids((), 3) == "" and decode_ids("", 3) == ()
+    for bad_id in (0, 9):
+        with pytest.raises(ValueError):
+            encode_ids((bad_id,), 3)
+    with pytest.raises(ValueError):
+        decode_ids("0101", 3)
 
 
 def test_bytes_round_trip():
@@ -74,8 +82,3 @@ def test_bits_to_bytes_rejects_non_bits():
         with pytest.raises(ValueError):
             bits_to_bytes(bad)
 
-
-def test_bit_at():
-    # 1-indexed, most-significant first
-    assert bit_at("0100", 2)
-    assert not bit_at("0100", 1)

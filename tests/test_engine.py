@@ -99,6 +99,16 @@ def test_congest_records_directed_messages():
     assert pairs == {(1, 2), (2, 1), (2, 3), (3, 2)}
 
 
+@pytest.mark.parametrize("text", ["L", "C"])
+def test_point_to_point_inboxes_list_senders_in_order(text):
+    # senders are visited in id order and each names a receiver at most once,
+    # so every L and C inbox lists strictly ascending senders
+    result = run(Echo(), clique_graph(4), Schedule.parse(text))
+    for v, inbox in result.final_inboxes.items():
+        senders = [s for s, _ in inbox]
+        assert senders == [u for u in range(1, 5) if u != v]
+
+
 def test_rejectors_are_sorted_node_ids():
     verdict = run(Echo(accept_all=False), path_graph(3), Schedule.parse("B")).verdict
     assert not verdict.accept

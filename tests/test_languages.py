@@ -1,6 +1,7 @@
 import pytest
 
 from artifact.graphs import (
+    InvalidInstanceError,
     Label,
     build_disj_4partite,
     build_disj_edge_star,
@@ -15,6 +16,7 @@ from artifact.graphs import (
     encode_pointer_map,
     marked_clique,
     marked_path,
+    partitions_domain,
     path_graph,
 )
 from artifact.languages import (
@@ -37,6 +39,7 @@ from artifact.languages import (
     triangle_freeness,
     xor_index_path,
 )
+from artifact.protocols import proto_registry
 
 
 def test_disjoint():
@@ -46,9 +49,9 @@ def test_disjoint():
 
 
 def test_path_order():
-    assert path_order(path_graph(4)) == [1, 2, 3, 4]
-    assert path_order(cycle_graph(4)) is None
-    assert path_order(path_graph(1)) == [1]
+    assert path_order(path_graph(4).adjacency) == [1, 2, 3, 4]
+    assert path_order(cycle_graph(4).adjacency) is None
+    assert path_order(path_graph(1).adjacency) == [1]
 
 
 def test_one_marked_edge():
@@ -154,6 +157,16 @@ def test_k_pclp_rejects_malformed_maps():
     ends = {1: {0: 1, 2: 3}, 8: {0: 1, 1: 2, 3: 0}}
     labels = {v: Label.of_bits(encode_pointer_map(f, 4)) for v, f in ends.items()}
     assert not k_pclp(path_graph(8, labels), 1)
+    # domains {0} and {1} cover {0..|dom_a|+|dom_b|-1} but not the declared
+    # {0..3}; the chase ends on 1 at k = 1 and 3, on 0 at k = 2
+    ends = {1: {0: 1}, 8: {1: 0}}
+    labels = {v: Label.of_bits(encode_pointer_map(f, 4)) for v, f in ends.items()}
+    g = path_graph(8, labels)
+    for k in (1, 2, 3):
+        assert not k_pclp(g, k)
+    assert not partitions_domain({0: 1}, {1: 0}, 4)
+    with pytest.raises(InvalidInstanceError):
+        build_kpclp_path({0: 1}, {1: 0}, 4)
 
 
 def test_language_registry():
@@ -162,8 +175,14 @@ def test_language_registry():
     assert len(LANGUAGE_IDS) == 12
     assert parse_language_id("k-pclp:k=2") == ("k-pclp", 2)
     assert parse_language_id("tomdf") == ("tomdf", None)
-    with pytest.raises(ValueError):
-        parse_language_id("k-pclp:rounds=2")
+    # the one parser behind both membership and proto_registry
+    for bad in ("k-pclp:rounds=2", "k-pclp:k=0", "k-pclp", "tomdf:k=2", "tomdf:"):
+        with pytest.raises(ValueError):
+            parse_language_id(bad)
+        with pytest.raises(ValueError):
+            membership(bad, path_graph(2))
+        with pytest.raises(ValueError):
+            proto_registry(bad)
     with pytest.raises(ValueError):
         membership("no-such-language", path_graph(2))
 
@@ -174,6 +193,6 @@ def test_membership_dispatch():
     f_a, f_b = {0: 1, 2: 3}, {1: 2, 3: 0}
     g = build_kpclp_path(f_a, f_b, 4)
     assert membership("k-pclp:k=2", g)
-    assert membership("k-pclp", g, k=2)
+    assert not membership("k-pclp:k=3", g)
     with pytest.raises(ValueError):
-        membership("k-pclp", g)  # k must come from somewhere
+        membership("k-pclp", g)  # k must come from the id

@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
 from artifact.engine import Schedule, run
 from artifact.graphs import (
+    Label,
     LabeledGraph,
+    all_graphs,
     build_disj_4partite,
     build_disj_edge_star,
     build_disj_on_clique,
@@ -12,20 +16,20 @@ from artifact.graphs import (
     build_xor_index_path,
     clique_graph,
     count_instances,
+    encode_pointer_map,
     enumerate_small_instances,
     marked_path,
     path_graph,
 )
-from artifact.languages import membership
+from artifact.languages import membership, path_order
 from artifact.protocols import (
     FullStateStressProtocol,
     NamedProtocol,
-    _reconstruct_path,
     proto_registry,
     protocol_ids,
     sweep,
 )
-from artifact.transforms import triangle_freeness_via_tomdf
+from artifact.transforms import tomdf_bcc_decider, triangle_freeness_via_tomdf
 
 
 def outcome(name, graph, seed=0):
@@ -136,6 +140,17 @@ def test_k_pclp_verdicts():
     assert not outcome("k-pclp:k=2", build_kpclp_path(f_a, {2: 0, 3: 1}, 4)).accept
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_pclp_rejects_an_undeclared_domain(k):
+    # labels declare n = 4 but the domains {0} and {1} cover only 2: the
+    # endpoint holding 0 sees the two sizes miss 4 and rejects, as the oracle does
+    ends = {1: {0: 1}, 8: {1: 0}}
+    g = path_graph(8, {v: Label.of_bits(encode_pointer_map(f, 4)) for v, f in ends.items()})
+    verdict = outcome(f"k-pclp:k={k}", g)
+    assert not verdict.accept and not membership(f"k-pclp:k={k}", g)
+    assert 1 in verdict.rejectors
+
+
 def test_disj_edge_star_rejects_duplicate_indices():
     good = build_disj_edge_star("10", "01")
     assert outcome("disj-edge-star", good).accept
@@ -215,33 +230,80 @@ def test_stress_protocol_varies_across_instances():
 
 
 # ---------------------------------------------------------------------------
-# path reconstruction from neighbor lists
+# path reconstruction from (possibly asymmetric) claimed neighbor lists
 
 
 def test_reconstruct_path_orders_from_the_smaller_end():
     forward = {1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}
     backward = {4: (3,), 3: (4, 2), 2: (3, 1), 1: (2,)}
-    assert _reconstruct_path(forward) == [1, 2, 3, 4]
-    assert _reconstruct_path(backward) == [1, 2, 3, 4]
+    assert path_order(forward) == [1, 2, 3, 4]
+    assert path_order(backward) == [1, 2, 3, 4]
     # labels need not follow the path: it starts at the smaller end
-    assert _reconstruct_path({7: (2,), 2: (7, 9), 9: (2, 5), 5: (9,)}) == [5, 9, 2, 7]
+    assert path_order({7: (2,), 2: (7, 9), 9: (2, 5), 5: (9,)}) == [5, 9, 2, 7]
 
 
 def test_reconstruct_path_rejects_cycles_and_repeats():
-    assert _reconstruct_path({1: (2, 3), 2: (1, 3), 3: (1, 2)}) is None
+    assert path_order({1: (2, 3), 2: (1, 3), 3: (1, 2)}) is None
     # two ends, but the walk from 1 runs into the triangle 2-3-4 and comes
     # back to 2 before it has visited every node
     repeat = {1: (2,), 2: (1, 3), 3: (2, 4), 4: (3, 2), 5: (4,)}
-    assert _reconstruct_path(repeat) is None
+    assert path_order(repeat) is None
     # inconsistent lists whose walk 1, 2, 3, 1, 2 has as many steps as there
     # are nodes and stops at the larger end: only the revisit check rejects it
     loop = {1: (2,), 2: (3,), 3: (1, 2), 4: (1, 2), 5: (1, 2)}
-    assert _reconstruct_path(loop) is None
+    assert path_order(loop) is None
     # a path plus a detached cycle: the walk ends before covering the nodes
     detached = {1: (2,), 2: (1,), 3: (4, 5), 4: (3, 5), 5: (3, 4)}
-    assert _reconstruct_path(detached) is None
+    assert path_order(detached) is None
+    # an asymmetric claim that names a node outside the mapping
+    assert path_order({1: (2,), 2: (1, 7), 3: (4,), 4: (3, 2)}) is None
 
 
 def test_reconstruct_path_single_node():
-    assert _reconstruct_path({3: ()}) == [3]
-    assert _reconstruct_path({3: (4,)}) is None
+    assert path_order({3: ()}) == [3]
+    assert path_order({3: (4,)}) is None
+
+
+# ---------------------------------------------------------------------------
+# wire behaviour: verdicts, rejectors and bit totals over whole families
+
+# (row, max size) -> sha256 over every instance's run outcome, pinned on the
+# suite before its wire idioms were merged; the k-pclp rows were re-pinned
+# when the mute endpoint began to broadcast its domain size (one more id-width
+# field of B bits per run, no verdict or rejector changed)
+RUN_DIGESTS = {
+    ("one-marked-edge", 4): "c9e6fa5fe24df5f261fa3c1e86850bf832836f56a4ded72c79ce8a4ba2b2bc6f",
+    ("xor-index-path", 3): "b91040fb6906eaa4496bfc429367b087754507dbe988625ffcd9460cfae48901",
+    ("tomdf", 5): "cd69bab3291f9b4a14a24e8a3da39e7a0238569270d4affc6fb92415fcbfedd1",
+    ("disj-on-clique", 3): "f6a89ece0c5528991b4bbb4a44b5a336b7a9a917457cebd0c44865197e377c64",
+    ("special-disjointness", 3): "b1a44e9213350fbf7e18884bd4f71a3f64410017417b469a14bb11f548f02cf1",
+    ("disj-on-edge", 4): "c458c17cfcaf08b59f187ffa2970cf1cd9792d8a888bb3b2643102d37837d525",
+    ("disj-on-path", 4): "9d1d0a4940f0f66214703d8f2b2cca3d30eb75226ec279bdcda8e6b7c1c9dfbf",
+    ("disj-edge-star", 4): "4ddb878fe787f93d3a8e70e3e024d24b36b821c4271ce86e2512c9ec50cbed08",
+    ("disj-4partite", 2): "3049683f5b864091803ad8d6f4297cdc0c691224c15d6736f4b3d5b71592750e",
+    ("k-pclp:k=1", 4): "5bf476233a9033ed0e91a75fed29e13bf438b6807a06785d5298c6468e6ea94b",
+    ("k-pclp:k=2", 4): "38f05c4b96d8db7f623f09e681dc622f355c65b0b282e0e82254f43374367607",
+    ("k-pclp:k=3", 4): "8cfe6b6cbac6846a96bf71342286287c90aff812135632345d1cb12b2a451031",
+    ("tomdf-bcc", 4): "6311962969e8746c4d13db182565f01e2602c515c3d404694e72a3a0c82e5b83",
+    ("triangle-freeness-via-tomdf", 4): "194c7cc2584b31d339bec316b060f9ae01dc5916019749ddd095fb74a13d765b",
+}
+
+
+def _run_digest(row: str, size: int) -> str:
+    h = hashlib.sha256()
+    if row in ("tomdf-bcc", "triangle-freeness-via-tomdf"):
+        build = tomdf_bcc_decider if row == "tomdf-bcc" else triangle_freeness_via_tomdf
+        runs = ((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
+    else:
+        named = proto_registry(row)
+        runs = ((named, g) for g in enumerate_small_instances(named.family, size))
+    for named, g in runs:
+        verdict, t = run(named.protocol, g, named.schedule, record=False)
+        outcome = (verdict.accept, verdict.rejectors, t.totals, max(t.max_bits.values()))
+        h.update(repr(outcome).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("row,size", list(RUN_DIGESTS))
+def test_run_digests_are_pinned(row, size):
+    assert _run_digest(row, size) == RUN_DIGESTS[row, size]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from artifact.engine import RoundKind, Schedule, run
-from artifact.graphs import all_graphs, random_labeled_graph
+from artifact.graphs import LabeledGraph, all_graphs, cycle_graph, random_labeled_graph
 from artifact.languages import membership
 from artifact.protocols import FullStateStressProtocol, proto_registry
 from artifact.transforms import (
@@ -117,12 +117,16 @@ def test_tomdf_bcc_schedule_is_broadcast_only():
         assert len(sched) >= 2
 
 
+# rows of at most 4 nodes fit one broadcast; these 24-node rows travel in
+# chunks over several rounds (the chord closes a triangle at max degree)
+CHUNKED = (cycle_graph(24), LabeledGraph(range(1, 25), [*cycle_graph(24).edges, (1, 3)]))
+
+
 def test_tomdf_bcc_decider_matches_oracle():
-    for n in range(1, 5):
-        named = tomdf_bcc_decider(n)
-        for g in all_graphs(n):
-            got = run(named.protocol, g, named.schedule, record=False).verdict.accept
-            assert got == membership("tomdf", g), g
+    for g in itertools.chain(*(all_graphs(n) for n in range(1, 5)), CHUNKED):
+        named = tomdf_bcc_decider(g.n)
+        got = run(named.protocol, g, named.schedule, record=False).verdict.accept
+        assert got == membership("tomdf", g), g
 
 
 def test_composed_bandwidth_is_twice_default():
@@ -133,9 +137,8 @@ def test_composed_bandwidth_is_twice_default():
 
 
 def test_triangle_freeness_via_tomdf_matches_oracle():
-    for n in range(1, 5):
-        named = triangle_freeness_via_tomdf(n)
+    for g in itertools.chain(*(all_graphs(n) for n in range(1, 5)), CHUNKED):
+        named = triangle_freeness_via_tomdf(g.n)
         assert all(k is RoundKind.BCC for k in named.schedule)
-        for g in all_graphs(n):
-            got = run(named.protocol, g, named.schedule, record=False).verdict.accept
-            assert got == membership("triangle-freeness", g), g
+        got = run(named.protocol, g, named.schedule, record=False).verdict.accept
+        assert got == membership("triangle-freeness", g), g
