@@ -1,9 +1,9 @@
-"""Deterministic per-node random tapes.
+"""Deterministic random tapes.
 
-Each node of a run gets an independent tape derived from (seed, node id) by a
-counter-based generator (splitmix64), so replays are reproducible and node
-tapes never interact. A separate shared tape with the same mechanics serves
-the two-party module.
+A tape is a counter-based generator (splitmix64) keyed by (seed, stream), so
+replays are reproducible and tapes on different streams never interact. A
+protocol that wants randomness builds its node's tape as
+``Tape(view.seed, view.node)``; the graph generators use a tape of their own.
 """
 
 from __future__ import annotations

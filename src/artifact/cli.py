@@ -13,18 +13,17 @@ or from the generator mini-language, e.g.::
     disj-on-clique:rows=101+011+110
 
 Positional segments and param=value pairs may be mixed; list-valued params
-join their items with '+'.  The default seed comes from ARTIFACT_SEED.
+join their items with '+'.  Commands that run the engine (`simulate`,
+`verify`, `reduce`) take `--seed`, default 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
-from .engine import EngineError, Schedule, default_bandwidth, run, schedule_cost
+from .engine import EngineError, Schedule, run, schedule_cost
 from .graphs import (
     EnumerationTooLargeError,
     InvalidInstanceError,
@@ -48,23 +47,7 @@ from .twoparty import (
 )
 from .xorlb import Posteriors, budget_bound, table1_scan
 
-__all__ = ["ExperimentConfig", "main", "parse_generator", "parse_node_set"]
-
-
-@dataclass
-class ExperimentConfig:
-    """One resolved invocation: everything a command needs to run."""
-
-    command: str
-    protocol: str | None = None
-    gen: str | None = None
-    instance_path: str | None = None
-    schedule: str | None = None
-    bandwidth: int | None = None
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    params: dict = field(default_factory=dict)
+__all__ = ["main", "parse_generator", "parse_node_set"]
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +113,16 @@ def parse_generator(spec: str) -> LabeledGraph:
     return build_gadget(family, **{k: _coerce(k, v) for k, v in kv.items()})
 
 
-def _load_instance(cfg: ExperimentConfig) -> LabeledGraph:
-    if (cfg.gen is None) == (cfg.instance_path is None):
+def _load_instance(ns: argparse.Namespace) -> LabeledGraph:
+    if (ns.gen is None) == (ns.instance is None):
         raise InvalidInstanceError("provide exactly one of --gen and --instance")
-    if cfg.gen is not None:
-        return parse_generator(cfg.gen)
+    if ns.gen is not None:
+        return parse_generator(ns.gen)
     try:
-        with open(cfg.instance_path, encoding="utf-8") as fh:
+        with open(ns.instance, encoding="utf-8") as fh:
             return LabeledGraph.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InvalidInstanceError(f"bad instance file {cfg.instance_path}: {exc}") from exc
+        raise InvalidInstanceError(f"bad instance file {ns.instance}: {exc}") from exc
 
 
 def parse_node_set(text: str, nodes: tuple[int, ...]) -> frozenset[int]:
@@ -159,19 +142,19 @@ def parse_node_set(text: str, nodes: tuple[int, ...]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _resolve_schedule(named: NamedProtocol, cfg: ExperimentConfig) -> Schedule:
+def _resolve_schedule(named: NamedProtocol, ns: argparse.Namespace) -> Schedule:
     schedule = named.schedule
-    if cfg.schedule:
-        schedule = Schedule.parse(cfg.schedule, bandwidth=schedule.bandwidth)
-    if cfg.bandwidth is not None:
-        cap = cfg.bandwidth
+    if ns.schedule:
+        schedule = Schedule.parse(ns.schedule, bandwidth=schedule.bandwidth)
+    if ns.bandwidth is not None:
+        cap = ns.bandwidth
         schedule = Schedule(schedule.kinds, bandwidth=lambda n: cap)
     return schedule
 
 
-def _emit(cfg: ExperimentConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -181,61 +164,59 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
 # commands
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    named = proto_registry(cfg.protocol)
-    graph = _load_instance(cfg)
-    schedule = _resolve_schedule(named, cfg)
-    result = run(named.protocol, graph, schedule, seed=cfg.seed)
+def cmd_simulate(ns: argparse.Namespace) -> int:
+    named = proto_registry(ns.protocol)
+    graph = _load_instance(ns)
+    schedule = _resolve_schedule(named, ns)
+    result = run(named.protocol, graph, schedule, seed=ns.seed)
     verdict = result.verdict
     report = {
         "protocol": named.name,
         "schedule": schedule.text,
         "n": graph.n,
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "accept": verdict.accept,
         "rejectors": list(verdict.rejectors),
         "bits": result.transcript.totals,
     }
-    _emit(cfg, json.dumps(report, indent=2))
-    t_path = cfg.params.get("transcript")
-    if t_path:
-        with open(t_path, "w", encoding="utf-8") as fh:
+    _emit(ns, json.dumps(report, indent=2))
+    if ns.transcript:
+        with open(ns.transcript, "w", encoding="utf-8") as fh:
             fh.write(
-                result.transcript.to_csv() if cfg.fmt == "csv"
+                result.transcript.to_csv() if ns.format == "csv"
                 else result.transcript.to_json(indent=2)
             )
     return 0 if verdict.accept else 1
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    only = cfg.params.get("only") or list(protocol_ids())
+def cmd_verify(ns: argparse.Namespace) -> int:
     any_bad = False
     lines = []
-    for name in only:
-        result = sweep(name, cfg.params["max_n"], seed=cfg.seed)
+    for name in ns.only or protocol_ids():
+        result = sweep(name, ns.max_n, seed=ns.seed)
         line = f"{result.name}: {result.agree}/{result.total} agree"
         if result.counterexample is not None:
             any_bad = True
             line += f"; first counterexample {result.counterexample.to_json()}"
         lines.append(line)
-    _emit(cfg, "\n".join(lines))
+    _emit(ns, "\n".join(lines))
     return 1 if any_bad else 0
 
 
-def cmd_reduce(cfg: ExperimentConfig) -> int:
-    named = proto_registry(cfg.protocol)
-    graph = _load_instance(cfg)
+def cmd_reduce(ns: argparse.Namespace) -> int:
+    named = proto_registry(ns.protocol)
+    graph = _load_instance(ns)
     nodes = graph.nodes
-    alice = parse_node_set(cfg.params["alice"], nodes)
-    bob_text = cfg.params.get("bob")
+    alice = parse_node_set(ns.alice, nodes)
     bob = (
-        frozenset(set(nodes) - alice) if bob_text in (None, "rest")
-        else parse_node_set(bob_text, nodes)
+        frozenset(set(nodes) - alice) if ns.bob in (None, "rest")
+        else parse_node_set(ns.bob, nodes)
     )
-    acc_text = cfg.params.get("accounted", "all")
-    accounted = frozenset(nodes) if acc_text == "all" else parse_node_set(acc_text, nodes)
+    accounted = (
+        frozenset(nodes) if ns.accounted == "all" else parse_node_set(ns.accounted, nodes)
+    )
     report, _ = cut_communication(
-        named, graph, CutConfig(alice, bob, accounted), seed=cfg.seed
+        named, graph, CutConfig(alice, bob, accounted), seed=ns.seed
     )
     blob = {
         "protocol": named.name,
@@ -244,23 +225,22 @@ def cmd_reduce(cfg: ExperimentConfig) -> int:
         "per_round": list(report.per_round),
         "total": report.total,
     }
-    _emit(cfg, json.dumps(blob, indent=2))
+    _emit(ns, json.dumps(blob, indent=2))
     return 0
 
 
-def cmd_bruteforce(cfg: ExperimentConfig) -> int:
-    n, k_a, k_b = cfg.params["n"], cfg.params["ka"], cfg.params["kb"]
+def cmd_bruteforce(ns: argparse.Namespace) -> int:
+    n, k_a, k_b = ns.n, ns.ka, ns.kb
     error, witness = bruteforce_min_error(n, k_a, k_b)
-    if cfg.out:
-        _emit(cfg, search_result_json(n, k_a, k_b, error, witness, indent=2))
+    if ns.out:
+        _emit(ns, search_result_json(n, k_a, k_b, error, witness, indent=2))
     print(f"{error.numerator}/{error.denominator}")
     return 0
 
 
-def cmd_kkt(cfg: ExperimentConfig) -> int:
-    post = Posteriors(cfg.params["ra"], cfg.params["rb"])
-    report = table1_scan(post, grid_step=cfg.params.get("grid_step", 0.01))
-    _emit(cfg, report.to_csv())
+def cmd_kkt(ns: argparse.Namespace) -> int:
+    report = table1_scan(Posteriors(ns.ra, ns.rb))
+    _emit(ns, report.to_csv())
     print(
         f"feasible={report.feasible_count}/24 max_over_rows={report.max_over_rows:.6f} "
         f"bound={report.claimed_bound:.6f} grid={report.grid_value:.6f} "
@@ -270,14 +250,13 @@ def cmd_kkt(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_bound(cfg: ExperimentConfig) -> int:
-    print(budget_bound(cfg.params["n"], cfg.params["eps"]))
+def cmd_bound(ns: argparse.Namespace) -> int:
+    print(budget_bound(ns.n, ns.eps))
     return 0
 
 
-def cmd_cost(cfg: ExperimentConfig) -> int:
-    schedule = Schedule.parse(cfg.schedule)
-    cost = schedule_cost(schedule, cfg.params["a"], cfg.params["b"], cfg.params["c"])
+def cmd_cost(ns: argparse.Namespace) -> int:
+    cost = schedule_cost(Schedule.parse(ns.schedule), ns.a, ns.b, ns.c)
     print(f"{cost:g}")
     return 0
 
@@ -305,10 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, protocol=False, instance=False):
-        p.add_argument("--seed", type=int, default=None,
-                       help="run seed (default: ARTIFACT_SEED or 0)")
+    def add_common(p, seed=False, protocol=False, instance=False):
         p.add_argument("--out", help="write the report here instead of stdout")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         if protocol:
             p.add_argument("--protocol", required=True,
                            help=f"one of: {', '.join(protocol_ids())}")
@@ -317,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", help="path to a JSON instance file")
 
     p = sub.add_parser("simulate", help="run one protocol on one instance")
-    add_common(p, protocol=True, instance=True)
+    add_common(p, seed=True, protocol=True, instance=True)
     p.add_argument("--schedule", help="override round kinds, e.g. B,L or B^3")
     p.add_argument("--bandwidth", type=int, help="override the per-round bit cap")
     p.add_argument("--transcript", help="also write the transcript here")
@@ -325,14 +304,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transcript format (default csv)")
 
     p = sub.add_parser("verify", help="protocol-vs-oracle exhaustive sweep")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--max-n", type=int, default=3, dest="max_n",
                    help="sweep each family up to this size (default 3)")
     p.add_argument("--only", action="append",
                    help="restrict to this protocol id (repeatable)")
 
     p = sub.add_parser("reduce", help="meter cut communication of a run")
-    add_common(p, protocol=True, instance=True)
+    add_common(p, seed=True, protocol=True, instance=True)
     p.add_argument("--alice", required=True, help="node list, e.g. 1-4,9")
     p.add_argument("--bob", help="node list (default: the rest)")
     p.add_argument("--accounted", default="all", help="node list or 'all'")
@@ -347,15 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--ra", type=float, required=True)
     p.add_argument("--rb", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=0.01, dest="grid_step")
 
     p = sub.add_parser("bound", help="budget bound implied by an error rate")
-    add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
 
     p = sub.add_parser("cost", help="weighted round-cost of a schedule")
-    add_common(p)
     p.add_argument("--schedule", required=True)
     p.add_argument("--a", type=float, default=1.0, help="weight per unbounded round")
     p.add_argument("--b", type=float, default=1.0, help="weight per broadcast round")
@@ -364,32 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    seed = ns.seed
-    if seed is None:
-        seed = int(os.environ.get("ARTIFACT_SEED", "0"))
-    known = {"command", "protocol", "gen", "instance", "schedule", "bandwidth",
-             "seed", "out", "format"}
-    params = {k: v for k, v in vars(ns).items() if k not in known and v is not None}
-    return ExperimentConfig(
-        command=ns.command,
-        protocol=getattr(ns, "protocol", None),
-        gen=getattr(ns, "gen", None),
-        instance_path=getattr(ns, "instance", None),
-        schedule=getattr(ns, "schedule", None),
-        bandwidth=getattr(ns, "bandwidth", None),
-        seed=seed,
-        out=ns.out,
-        fmt=getattr(ns, "format", "json"),
-        params=params,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    cfg = _config_from_args(ns)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except (InvalidInstanceError, EnumerationTooLargeError, SearchTooLargeError,
             EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,10 @@ handed to ``Protocol.decide``. Inbox entries are (sender id, payload) pairs
 sorted by sender; sender identity rides free and is not metered. A node that
 sends nothing to some neighbor simply does not appear in that inbox — an
 explicit empty-string message does.
+
+The engine draws no randomness: a node's view carries the run seed, and a
+protocol that wants random bits seeds its own per-node generator from
+(view.seed, view.node).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Mapping
 
-from ._rng import Tape
 from .graphs import Label, LabeledGraph
 
 Inbox = tuple[tuple[int, str], ...]
@@ -136,14 +139,14 @@ class ProtocolContractError(EngineError):
 @dataclass(frozen=True)
 class NodeView:
     """What a node knows at wake-up: its id, the graph size n, the id-space
-    bound N, its sorted neighbor ids, its label, and a private random tape."""
+    bound N, its sorted neighbor ids, its label, and the run seed."""
 
     node: int
     n: int
     big_n: int
     neighbors: tuple[int, ...]
     label: Label
-    tape: Tape
+    seed: int
 
 
 class Protocol:
@@ -243,7 +246,6 @@ class Verdict:
 class RunResult:
     verdict: Verdict
     transcript: Transcript
-    states: dict[int, object]
     final_inboxes: dict[int, Inbox]
 
     def __iter__(self):
@@ -254,7 +256,7 @@ class RunResult:
 def make_views(graph: LabeledGraph, seed: int) -> dict[int, NodeView]:
     n, big_n = graph.n, graph.big_n
     return {
-        v: NodeView(v, n, big_n, graph.neighbors(v), graph.label(v), Tape(seed, v))
+        v: NodeView(v, n, big_n, graph.neighbors(v), graph.label(v), seed)
         for v in graph.nodes
     }
 
@@ -327,4 +329,4 @@ def run(
             inboxes = {v: tuple(buckets[v]) for v in nodes}
 
     per_node = {v: bool(protocol.decide(states[v], inboxes[v])) for v in nodes}
-    return RunResult(Verdict(per_node), transcript, states, inboxes)
+    return RunResult(Verdict(per_node), transcript, inboxes)

@@ -211,10 +211,11 @@ def disj_on_path(g: LabeledGraph) -> bool:
 
 
 def k_pclp(g: LabeledGraph, k: int) -> bool:
-    """Path whose endpoint labels encode the two halves of an alternating
-    pointer map; member iff popcount of the k-th chase value is odd."""
+    """Path on 2n nodes whose endpoint labels encode the two halves of an
+    alternating pointer map over {0..n-1}; member iff popcount of the k-th
+    chase value is odd."""
     order = path_order(g.adjacency)
-    if order is None or len(order) < 2:
+    if order is None:
         return False
     if any(not g.label(v).is_blank for v in order[1:-1]):
         return False
@@ -227,7 +228,7 @@ def k_pclp(g: LabeledGraph, k: int) -> bool:
         g_v, n_v = decode_pointer_map(lab_v)
     except ValueError:
         return False
-    if n_u != n_v:
+    if n_u != n_v or len(order) != 2 * n_u:
         return False
     if 0 in g_u:
         f_a, f_b = g_u, g_v

@@ -310,7 +310,8 @@ class KPclpProtocol(Protocol):
     also broadcasts the first chase value and its declared domain size, the
     other endpoint the size of its half of the map. The endpoints then
     alternate broadcasting successive chase values, one per round. Everyone
-    rebuilds the path, tracks the chase, and accepts iff the structure holds,
+    rebuilds the path, checks that it has twice the declared domain size of
+    nodes, tracks the chase, and accepts iff the structure holds,
     all k values arrived on schedule, and the final value has odd popcount.
 
     Locality note: each endpoint can vet only its own half of the map (plus
@@ -399,18 +400,19 @@ class KPclpProtocol(Protocol):
                 state["struct_bad"] = True
                 return
         order = path_order(adj)
+        view: NodeView = state["view"]
         if (
             order is None
             or len(order) < 4
             or a_end is None
             or b_end is None
             or {order[0], order[-1]} != {a_end, b_end}
+            or 2 * ndom_a != view.n
         ):
             state["struct_bad"] = True
             return
         state["a_end"], state["b_end"] = a_end, b_end
         state["chase"] = [v1]
-        view: NodeView = state["view"]
         if view.node == b_end:
             # the mute endpoint vets the shared declarations
             if state["map"] is None or 0 in state["map"] or state["ndom"] != ndom_a:

@@ -268,9 +268,10 @@ def _cell_best(targets: tuple[int, ...], n0: int, n1: int):
     return best
 
 
-def _slice_best(xs, ys, i, j, a_msg_of, b_msg_of):
+def _slice_best(xs, i, j, a_msg_of, b_msg_of):
     """Exact minimum error count over output tables for one (i, j) slice.
 
+    xs lists the n-bit strings, which are Alice's xs and Bob's ys alike.
     Alice's entry a[x, mb] only meets the ys with b_msg(y) = mb, and only
     through Bob's reply to the group of xs sharing a_msg(x) = ma; Bob's best
     reply to a fixed Alice table is the per-entry greedy (his (y, ma) entries
@@ -290,7 +291,7 @@ def _slice_best(xs, ys, i, j, a_msg_of, b_msg_of):
     for x in xs:
         groups.setdefault(a_msg_of[x], []).append(x)
     counts: dict[str, list[int]] = {}
-    for y in ys:
+    for y in xs:
         counts.setdefault(b_msg_of[y], [0, 0])[int(y[i - 1])] += 1
     reach_mb = sorted(counts)
     bad = 0
@@ -305,7 +306,7 @@ def _slice_best(xs, ys, i, j, a_msg_of, b_msg_of):
             a_bit.update(zip([(x, mb) for x in group], bits))
     a_tab = {(x, mb): a_bit[x, mb] for x in xs for mb in reach_mb}
     b_tab = {
-        (y, ma): reply[b_msg_of[y], ma][int(y[i - 1])] for y in ys for ma in groups
+        (y, ma): reply[b_msg_of[y], ma][int(y[i - 1])] for y in xs for ma in groups
     }
     return bad, a_tab, b_tab
 
@@ -363,7 +364,7 @@ def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRound
                     found = memo.get(key)
                     if found is None:
                         found = memo[key] = _slice_best(
-                            xs, xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row))
+                            xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row))
                         )
                     bad += found[0]
                     slices.append((i, j, found))

@@ -180,10 +180,6 @@ def _entry_value(entry: Entry, post: Posteriors) -> float:
     return float(entry)
 
 
-def _entry_text(entry: Entry) -> str:
-    return entry.text if isinstance(entry, _Expr) else format(entry, "g")
-
-
 @dataclass(frozen=True)
 class KKTRow:
     """One stationary-point candidate: rule entries plus its claimed value.
@@ -219,11 +215,6 @@ class KKTRow:
         except InfeasibleRowError:
             return False
         return True
-
-    def labels(self) -> tuple[str, str, str, str, str]:
-        return tuple(
-            _entry_text(getattr(self, f)) for f in ("p_a", "q_a", "p_b", "q_b", "value")
-        )
 
 
 TABLE1: tuple[KKTRow, ...] = (

@@ -89,12 +89,6 @@ def test_simulate_needs_exactly_one_source(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_seed_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("ARTIFACT_SEED", "7")
-    main(["simulate", "--protocol", "tomdf", "--gen", "path:3"])
-    assert json.loads(capsys.readouterr().out)["seed"] == 7
-
-
 # ---------------------------------------------------------------------------
 # generator mini-language
 
@@ -206,23 +200,13 @@ def test_bruteforce_two_bit_budget_at_n2(tmp_path, capsys):
 
 
 def test_kkt_csv(capsys):
-    code = main(["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", "0.05"])
+    code = main(["kkt", "--ra", "0.7", "--rb", "0.6"])
     assert code == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
     assert lines[0] == "row,feasible,value,residual"
     assert len(lines) == 25
     assert "feasible=18/24" in captured.err
-
-
-@pytest.mark.parametrize("step", ["1e-320", "0.001"])
-def test_kkt_fine_grid_step(step, capsys):
-    # the corner maximum does not depend on the step: no lattice size is
-    # derived from it, so a tiny step neither overflows nor scans 10^12 points
-    code = main(["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", step])
-    assert code == 0
-    grid = re.search(r"grid=(\S+)", capsys.readouterr().err).group(1)
-    assert float(grid) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_kkt_rejects_bad_posteriors(capsys):
@@ -233,6 +217,28 @@ def test_kkt_rejects_bad_posteriors(capsys):
 def test_bound(capsys):
     assert main(["bound", "--n", "1000", "--eps", "0.2"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--n", "10", "--eps", "0.1", "--seed", "1"],
+        ["bound", "--n", "10", "--eps", "0.1", "--out", "bound.txt"],
+        ["cost", "--schedule", "L,B", "--seed", "1"],
+        ["cost", "--schedule", "L,B", "--out", "cost.txt"],
+        ["kkt", "--ra", "0.7", "--rb", "0.6", "--seed", "1"],
+        ["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", "0.05"],
+        ["bruteforce", "--n", "1", "--ka", "0", "--kb", "0", "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2][1:]}",
+)
+def test_commands_refuse_options_they_would_ignore(argv, capsys):
+    # a command that never runs the engine takes no seed, and bound and cost
+    # print to stdout only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cost(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from artifact._rng import Tape
 from artifact.engine import (
     BandwidthViolationError,
     Protocol,
@@ -185,13 +186,36 @@ def test_round_must_return_pair():
         run(BadReturn(), path_graph(2), Schedule.parse("L"))
 
 
+class Coin(Protocol):
+    """Broadcasts 8 bits from its node's tape each round; accepts iff its
+    next bit is 1."""
+
+    def init(self, view):
+        return Tape(view.seed, view.node)
+
+    def round(self, tape, index, kind, inbox):
+        return tape, tape.bits(8)
+
+    def decide(self, tape, inbox):
+        return tape.bit() == 1
+
+
 def test_make_views_exposes_local_information_only():
     g = path_graph(3)
-    views = make_views(g, seed=0)
+    views = make_views(g, seed=5)
     assert views[2].neighbors == (1, 3)
     assert views[2].n == 3 and views[2].big_n == 3
-    assert views[1].tape.bits(8) == make_views(g, 0)[1].tape.bits(8)
-    assert views[1].tape.bits(8) != views[3].tape.bits(8)
+    assert views[2].seed == 5
+
+    def outcome(seed):
+        verdict, transcript = run(Coin(), g, Schedule.parse("B^2"), seed=seed)
+        return tuple(verdict.per_node.items()), transcript.to_json()
+
+    assert outcome(5) == outcome(5)
+    assert len({outcome(seed) for seed in range(4)}) > 1
+    # nodes of one run draw from different tapes
+    _, transcript = run(Coin(), g, Schedule.parse("B"), seed=5)
+    assert len({e.payload for e in transcript.events}) == 3
 
 
 def test_transcript_serialization():

@@ -167,6 +167,9 @@ def test_k_pclp_rejects_malformed_maps():
     assert not partitions_domain({0: 1}, {1: 0}, 4)
     with pytest.raises(InvalidInstanceError):
         build_kpclp_path({0: 1}, {1: 0}, 4)
+    # one node is both endpoints: a path of 1 node is never 2n long
+    lone = path_graph(1, {1: Label.of_bits(encode_pointer_map({0: 0}, 1))})
+    assert not k_pclp(lone, 1)
 
 
 def test_language_registry():

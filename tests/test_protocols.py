@@ -29,7 +29,7 @@ from artifact.protocols import (
     protocol_ids,
     sweep,
 )
-from artifact.transforms import tomdf_bcc_decider, triangle_freeness_via_tomdf
+from artifact.transforms import normalize_lb, tomdf_bcc_decider, triangle_freeness_via_tomdf
 
 
 def outcome(name, graph, seed=0):
@@ -151,6 +151,21 @@ def test_k_pclp_rejects_an_undeclared_domain(k):
     assert 1 in verdict.rejectors
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_pclp_needs_twice_the_domain_size_of_nodes(k):
+    # well-formed maps over {0..n-1} on a path whose length is not 2n: n = 6
+    # on 4 nodes (too wide to frame in the 2-bit ids) and n = 2 on 8 nodes
+    cases = [
+        (4, {1: {0: 1, 2: 3, 4: 5}, 4: {1: 2, 3: 4, 5: 0}}, 6),
+        (8, {1: {0: 1}, 8: {1: 0}}, 2),
+    ]
+    for size, ends, n in cases:
+        labels = {v: Label.of_bits(encode_pointer_map(f, n)) for v, f in ends.items()}
+        g = path_graph(size, labels)
+        assert not membership(f"k-pclp:k={k}", g)
+        assert outcome(f"k-pclp:k={k}", g).rejectors == g.nodes
+
+
 def test_disj_edge_star_rejects_duplicate_indices():
     good = build_disj_edge_star("10", "01")
     assert outcome("disj-edge-star", good).accept
@@ -270,7 +285,9 @@ def test_reconstruct_path_single_node():
 # (row, max size) -> sha256 over every instance's run outcome, pinned on the
 # suite before its wire idioms were merged; the k-pclp rows were re-pinned
 # when the mute endpoint began to broadcast its domain size (one more id-width
-# field of B bits per run, no verdict or rejector changed)
+# field of B bits per run, no verdict or rejector changed); the normalized-tomdf
+# row was pinned when node views stopped carrying a random tape, with the
+# verdicts and rejectors of the tree before that change
 RUN_DIGESTS = {
     ("one-marked-edge", 4): "c9e6fa5fe24df5f261fa3c1e86850bf832836f56a4ded72c79ce8a4ba2b2bc6f",
     ("xor-index-path", 3): "b91040fb6906eaa4496bfc429367b087754507dbe988625ffcd9460cfae48901",
@@ -286,13 +303,28 @@ RUN_DIGESTS = {
     ("k-pclp:k=3", 4): "8cfe6b6cbac6846a96bf71342286287c90aff812135632345d1cb12b2a451031",
     ("tomdf-bcc", 4): "6311962969e8746c4d13db182565f01e2602c515c3d404694e72a3a0c82e5b83",
     ("triangle-freeness-via-tomdf", 4): "194c7cc2584b31d339bec316b060f9ae01dc5916019749ddd095fb74a13d765b",
+    ("normalized-tomdf", 4): "b74678b811cfb8ee31312033feb4e75050104ef4cdb9997ab9a7a45590ba5ffa",
+}
+
+
+def _normalized_tomdf(n: int) -> NamedProtocol:
+    tomdf = proto_registry("tomdf")
+    protocol, schedule = normalize_lb(tomdf.protocol, tomdf.schedule)
+    return NamedProtocol("normalized-tomdf", protocol, schedule, "tomdf", "tomdf")
+
+
+# rows run over all_graphs(n), n <= size, with a protocol built per n
+_ALL_GRAPHS_ROWS = {
+    "tomdf-bcc": tomdf_bcc_decider,
+    "triangle-freeness-via-tomdf": triangle_freeness_via_tomdf,
+    "normalized-tomdf": _normalized_tomdf,
 }
 
 
 def _run_digest(row: str, size: int) -> str:
     h = hashlib.sha256()
-    if row in ("tomdf-bcc", "triangle-freeness-via-tomdf"):
-        build = tomdf_bcc_decider if row == "tomdf-bcc" else triangle_freeness_via_tomdf
+    if row in _ALL_GRAPHS_ROWS:
+        build = _ALL_GRAPHS_ROWS[row]
         runs = ((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
     else:
         named = proto_registry(row)

@@ -134,14 +134,14 @@ def test_bruteforce_pinned_minima():
         assert eval_protocol_error(witness, n) == want
 
 
-def _slice_best_enumerated(xs, ys, i, j, a_msg_of, b_msg_of):
+def _slice_best_enumerated(xs, i, j, a_msg_of, b_msg_of):
     """Reference: the slice search that enumerates every Alice table.
 
     Alice's slice table (keyed by (x, bob message)) is enumerated outright;
     for each, Bob's best table is the per-entry greedy.  Keeps the first
     table with the least error count.
     """
-    reach_mb = sorted({b_msg_of[y] for y in ys})
+    reach_mb = sorted({b_msg_of[y] for y in xs})
     keys = [(x, mb) for x in xs for mb in reach_mb]
     groups: dict[str, list[str]] = {}
     for x in xs:
@@ -151,7 +151,7 @@ def _slice_best_enumerated(xs, ys, i, j, a_msg_of, b_msg_of):
         a_tab = dict(zip(keys, bits))
         bad = 0
         b_tab = {}
-        for y in ys:
+        for y in xs:
             mb = b_msg_of[y]
             for ma, group in groups.items():
                 err0 = err1 = 0
@@ -197,8 +197,8 @@ def test_slice_best_matches_full_enumeration(n):
             b_alpha = rng.sample(alphabet, b_size)
             a_msg_of = {x: rng.choice(a_alpha) for x in xs}
             b_msg_of = {y: rng.choice(b_alpha) for y in xs}
-            new = twoparty._slice_best(xs, xs, i, j, a_msg_of, b_msg_of)
-            old = _slice_best_enumerated(xs, xs, i, j, a_msg_of, b_msg_of)
+            new = twoparty._slice_best(xs, i, j, a_msg_of, b_msg_of)
+            old = _slice_best_enumerated(xs, i, j, a_msg_of, b_msg_of)
             assert _as_items(new) == _as_items(old), (a_msg_of, b_msg_of, i, j)
 
 

@@ -148,6 +148,10 @@ def test_grid_step_validation():
         grid_max_success(POST, grid_step=0.0)
     with pytest.raises(ValueError):
         grid_max_success(POST, grid_step=0.6)
+    # no lattice size is derived from the step, so a tiny one neither
+    # overflows nor scans 10^12 points
+    for step in (1e-320, 0.001):
+        assert grid_max_success(POST, grid_step=step) == grid_max_success(POST, 0.05)
 
 
 def test_grid_max_at_perfect_posteriors():
