@@ -11,12 +11,19 @@ a 2-bit code (00/01/10 for degrees 0/1/2, 11 for anything larger); unbounded
 local rounds ship records pickled without a memo (`_codec`), framed as bit
 strings, so a payload depends only on the record's value, never on which
 sub-objects it shares.
+
+Decoding that depends only on a shared broadcast inbox, not on the node
+reading it, happens once per round: it is a pure function of the inbox's
+value, memoised by value (`xor_path_structure`, `kpclp_round1_structure`),
+so every node after the first looks the result up.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Container, Mapping, NamedTuple, Sequence
 
 from ._bits import (
@@ -158,34 +165,13 @@ class XorIndexPathProtocol(Protocol):
         if index == 1:
             return state, self._broadcast(state)
         # index 2 (capped round): inbox holds every round-1 broadcast
-        if state["tiny"]:
+        path = None if state["tiny"] else xor_path_structure(tuple(inbox), state["w"])
+        if path is None:
             state["global_ok"] = False
             return state, {}
-        w = state["w"]
-        adj: dict[int, tuple[int, ...]] = {}
-        idx_of: dict[int, int] = {}
-        for sender, msg in inbox:
-            parsed = self._parse(msg, w)
-            if parsed is None:
-                state["global_ok"] = False
-                return state, {}
-            adj[sender], idx = parsed
-            if idx is not None:
-                idx_of[sender] = idx
-        order = path_order(adj)
-        if order is None or len(order) % 2 == 0 or len(order) < 5:
-            state["global_ok"] = False
-            return state, {}
+        order, position, i_val, j_val = path
         half = (len(order) - 1) // 2
-        i_val = idx_of.get(order[0])
-        j_val = idx_of.get(order[-1])
-        if i_val is None or j_val is None or not (
-            1 <= i_val <= half and 1 <= j_val <= half
-        ):
-            state["global_ok"] = False
-            return state, {}
-        me = view.node
-        pos = order.index(me)
+        pos = position[view.node]
         lab = view.label
         if pos == half - 1 or pos == half + 1:
             state["self_ok"] = lab.kind == BITS_KIND and len(lab.bits) == half
@@ -214,6 +200,32 @@ class XorIndexPathProtocol(Protocol):
         if len(got[left]) != 1 or len(got[right]) != 1:
             return False
         return got[left] != got[right]
+
+
+@lru_cache(maxsize=1)
+def xor_path_structure(inbox: Inbox, w: int):
+    """The path a round-1 xor-index-path inbox describes, which is the same
+    at every node: (order, position, i_val, j_val) with `position` mapping
+    each id to its place in `order`, or None on any structural failure."""
+    adj: dict[int, tuple[int, ...]] = {}
+    idx_of: dict[int, int] = {}
+    for sender, msg in inbox:
+        parsed = XorIndexPathProtocol._parse(msg, w)
+        if parsed is None:
+            return None
+        adj[sender], idx = parsed
+        if idx is not None:
+            idx_of[sender] = idx
+    order = path_order(adj)
+    if order is None or len(order) % 2 == 0 or len(order) < 5:
+        return None
+    half = (len(order) - 1) // 2
+    i_val = idx_of.get(order[0])
+    j_val = idx_of.get(order[-1])
+    if i_val is None or j_val is None or not (1 <= i_val <= half and 1 <= j_val <= half):
+        return None
+    position = MappingProxyType({v: p for p, v in enumerate(order)})
+    return tuple(order), position, i_val, j_val
 
 
 # ---------------------------------------------------------------------------
@@ -373,42 +385,13 @@ class KPclpProtocol(Protocol):
         return "10" + nbr + encode_int(size, w)
 
     def _digest_round1(self, state, inbox):
-        w = state["w"]
-        adj: dict[int, tuple[int, ...]] = {}
-        a_end = b_end = None
-        v1 = ndom_a = size_b = None
-        for sender, msg in inbox:
-            code, body = msg[:2], msg[2:]
-            if code == "00" and len(body) == 2 * w:
-                adj[sender] = decode_ids(body, w)
-            elif code == "01" and len(body) == 3 * w:
-                if a_end is not None:
-                    state["struct_bad"] = True
-                    return
-                a_end = sender
-                adj[sender] = decode_ids(body[:w], w)
-                v1 = decode_int(body[w : 2 * w])
-                ndom_a = decode_int(body[2 * w :]) + 1
-            elif code == "10" and len(body) == 2 * w:
-                if b_end is not None:
-                    state["struct_bad"] = True
-                    return
-                b_end = sender
-                adj[sender] = decode_ids(body[:w], w)
-                size_b = decode_int(body[w:])
-            else:
-                state["struct_bad"] = True
-                return
-        order = path_order(adj)
+        structure = kpclp_round1_structure(tuple(inbox), state["w"])
+        if structure is None:
+            state["struct_bad"] = True
+            return
+        a_end, b_end, v1, ndom_a, size_b = structure
         view: NodeView = state["view"]
-        if (
-            order is None
-            or len(order) < 4
-            or a_end is None
-            or b_end is None
-            or {order[0], order[-1]} != {a_end, b_end}
-            or 2 * ndom_a != view.n
-        ):
+        if 2 * ndom_a != view.n:
             state["struct_bad"] = True
             return
         state["a_end"], state["b_end"] = a_end, b_end
@@ -495,6 +478,40 @@ class KPclpProtocol(Protocol):
                 if r % 2 == mine_turn and r < self.k and val not in g:
                     return False
         return bin(chase[-1]).count("1") % 2 == 1
+
+
+@lru_cache(maxsize=1)
+def kpclp_round1_structure(inbox: Inbox, w: int):
+    """The node-independent part of a round-1 k-pclp inbox: (a_end, b_end,
+    v1, ndom_a, size_b), or None if the framing or the path is bad."""
+    adj: dict[int, tuple[int, ...]] = {}
+    a_end = b_end = None
+    v1 = ndom_a = size_b = None
+    for sender, msg in inbox:
+        code, body = msg[:2], msg[2:]
+        if code == "00" and len(body) == 2 * w:
+            adj[sender] = decode_ids(body, w)
+        elif code == "01" and len(body) == 3 * w and a_end is None:
+            a_end = sender
+            adj[sender] = decode_ids(body[:w], w)
+            v1 = decode_int(body[w : 2 * w])
+            ndom_a = decode_int(body[2 * w :]) + 1
+        elif code == "10" and len(body) == 2 * w and b_end is None:
+            b_end = sender
+            adj[sender] = decode_ids(body[:w], w)
+            size_b = decode_int(body[w:])
+        else:
+            return None
+    order = path_order(adj)
+    if (
+        order is None
+        or len(order) < 4
+        or a_end is None
+        or b_end is None
+        or {order[0], order[-1]} != {a_end, b_end}
+    ):
+        return None
+    return a_end, b_end, v1, ndom_a, size_b
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import hashlib
+import random
+from types import MappingProxyType
 
 import pytest
 
+from artifact import protocols
+from artifact._bits import id_width
 from artifact.engine import Schedule, run
 from artifact.graphs import (
     Label,
@@ -25,6 +29,7 @@ from artifact.languages import membership, path_order
 from artifact.protocols import (
     FullStateStressProtocol,
     NamedProtocol,
+    XorIndexPathProtocol,
     proto_registry,
     protocol_ids,
     sweep,
@@ -321,14 +326,9 @@ _ALL_GRAPHS_ROWS = {
 }
 
 
-def _run_digest(row: str, size: int) -> str:
+def _digest(runs) -> str:
+    """sha256 over each (protocol, graph) run's verdict, rejectors and bits."""
     h = hashlib.sha256()
-    if row in _ALL_GRAPHS_ROWS:
-        build = _ALL_GRAPHS_ROWS[row]
-        runs = ((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
-    else:
-        named = proto_registry(row)
-        runs = ((named, g) for g in enumerate_small_instances(named.family, size))
     for named, g in runs:
         verdict, t = run(named.protocol, g, named.schedule, record=False)
         outcome = (verdict.accept, verdict.rejectors, t.totals, max(t.max_bits.values()))
@@ -336,6 +336,204 @@ def _run_digest(row: str, size: int) -> str:
     return h.hexdigest()
 
 
+def _run_digest(row: str, size: int) -> str:
+    if row in _ALL_GRAPHS_ROWS:
+        build = _ALL_GRAPHS_ROWS[row]
+        return _digest((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
+    named = proto_registry(row)
+    return _digest((named, g) for g in enumerate_small_instances(named.family, size))
+
+
 @pytest.mark.parametrize("row,size", list(RUN_DIGESTS))
 def test_run_digests_are_pinned(row, size):
     assert _run_digest(row, size) == RUN_DIGESTS[row, size]
+
+
+# large instances, where one node's work grows with the path: seeded
+# well-formed instances and one of each kind of malformation per size
+
+
+def _path_with(ids, labels, drop=None):
+    """Path visiting `ids` in order, labelled by path position, without the
+    edge from position `drop` to the next."""
+    edges = [(u, v) for p, (u, v) in enumerate(zip(ids, ids[1:])) if p != drop]
+    return LabeledGraph(ids, edges, {ids[p]: lab for p, lab in labels.items()})
+
+
+def _both_verdicts(language, draw, least=3):
+    """Well-formed instances from `draw()` until at least `least` are drawn
+    and both verdicts of `language` occur among them."""
+    drawn, seen = [], set()
+    while len(drawn) < least or len(seen) < 2:
+        drawn.append(draw())
+        seen.add(membership(language, drawn[-1]))
+    return drawn
+
+
+def _large_xip_instances(n, language):
+    rng = random.Random(n)
+    total = 2 * n + 1
+    plain = list(range(1, total + 1))
+    shuffled = rng.sample(range(1, 2 * total), total)  # one bit wider ids too
+
+    def bits(k):
+        return format(rng.getrandbits(k), f"0{k}b")
+
+    def labels():
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        x, y = bits(n), bits(n)
+        return {
+            0: Label.of_index(i),
+            n - 1: Label.of_bits(x),
+            n + 1: Label.of_bits(y),
+            2 * n: Label.of_index(j),
+        }
+
+    for ids in (plain, shuffled):
+        yield from _both_verdicts(language, lambda: _path_with(ids, labels()))
+    yield _path_with(plain, labels(), drop=rng.randrange(1, 2 * n - 1))
+    moved = labels()
+    yield _path_with(plain, {**moved, 0: Label.blank(), 1: moved[0]})
+    yield _path_with(shuffled, {**labels(), 2 * n: Label.of_index(n + 1)})
+    arm = labels()
+    yield _path_with(plain, {**arm, n + 1: Label.of_bits(arm[n + 1].bits[1:])})
+
+
+def _large_kpclp_instances(n, language):
+    rng = random.Random(1000 + n)
+    ids = rng.sample(range(1, 2 * n + 1), 2 * n)
+
+    def halves():
+        rest = rng.sample(range(1, n), n - 1)
+        cut = rng.randint(0, n - 2)
+        dom_a, dom_b = [0] + rest[:cut], rest[cut:]
+        return {t: rng.choice(dom_b) for t in dom_a}, {t: rng.choice(dom_a) for t in dom_b}
+
+    def ends(f_a, f_b):
+        return {
+            0: Label.of_bits(encode_pointer_map(f_a, n)),
+            2 * n - 1: Label.of_bits(encode_pointer_map(f_b, n)),
+        }
+
+    yield from _both_verdicts(language, lambda: build_kpclp_path(*halves(), n))
+    yield from _both_verdicts(language, lambda: _path_with(ids, ends(*halves())))
+    yield _path_with(ids, ends({0: 1}, {1: 0}))  # undeclared domain
+    f_a, f_b = halves()
+    yield _path_with(ids, ends({**f_a, 0: 0}, f_b))  # a value in its own half
+    yield _path_with(ids, ends(*halves()), drop=rng.randrange(1, 2 * n - 2))
+    yield _path_with(ids + [max(ids) + 1, max(ids) + 2], ends(*halves()))  # 2n + 2 nodes
+
+
+_LARGE_INSTANCES = {"xor-index-path": _large_xip_instances, "k-pclp": _large_kpclp_instances}
+
+# (row, n) -> sha256 over the run outcomes of that row's large instances,
+# pinned while every node still decoded the whole broadcast inbox itself
+LARGE_RUN_DIGESTS = {
+    ("xor-index-path", 8): "c52bdaa68911908a4f69d18fe133b13c8a60fdb36d5a17fd1ce021fe9346a9b9",
+    ("xor-index-path", 16): "463a9b61cb9daee28197882fe3b69e24df83ac6d829eafd37a80d2e74fcbfc9c",
+    ("xor-index-path", 32): "01a09a91df9964813ccdf478a94c6252f278f84fcce34840afc5ebec7bbc0c04",
+    ("xor-index-path", 64): "631b47f830d44701343b21dae1c2d2bd49aac1c68f5c84647974c71a6057ff04",
+    ("k-pclp:k=1", 8): "1d701de6f7ade0961345ca3582084bae1498d378b6caaa7303ebb8b1d70f9616",
+    ("k-pclp:k=1", 32): "ccce177619067ec9669cd416a9e18d0cc8cfa7af7ba4ad642d3ac7e334b8f040",
+    ("k-pclp:k=2", 8): "6b3f2785caac2b4bdc34af97518f2a05a69184d9d9d2741a66c0e6a0483052af",
+    ("k-pclp:k=2", 32): "a59ec8175077f3d2c207f964c6063b78a7956a035c93e69c7476f3581f0cd1e4",
+    ("k-pclp:k=3", 8): "eeafa0b43a4dfe98d0da9a203b2b6279d66b66c0a72fd24e76a4f75d0720460b",
+    ("k-pclp:k=3", 32): "b996046709354034e0c97cc3282af163df83c30f5f377bd444de1a0b88916466",
+}
+
+
+@pytest.mark.parametrize("row,n", list(LARGE_RUN_DIGESTS))
+def test_large_run_digests_are_pinned(row, n):
+    named = proto_registry(row)
+    instances = _LARGE_INSTANCES[named.family](n, named.language)
+    assert _digest((named, g) for g in instances) == LARGE_RUN_DIGESTS[row, n]
+
+
+# ---------------------------------------------------------------------------
+# the shared broadcast inbox is decoded once per round, memoised by value
+
+
+def test_xor_index_path_parses_each_broadcast_once(monkeypatch):
+    n = 64
+    calls = []
+    parse = XorIndexPathProtocol._parse
+
+    def counting(msg, w):
+        calls.append(msg)
+        return parse(msg, w)
+
+    g = build_xor_index_path(n, "01" * (n // 2), "0" * n, 3, n)
+    outcome("xor-index-path", path_graph(5))  # some other round-1 inbox first
+    monkeypatch.setattr(XorIndexPathProtocol, "_parse", staticmethod(counting))
+    assert outcome("xor-index-path", g).accept
+    assert len(calls) == 2 * n + 1  # one parse per broadcast
+
+
+def test_k_pclp_rebuilds_the_path_once(monkeypatch):
+    n = 32
+    f_a = {t: n // 2 + t for t in range(n // 2)}
+    f_b = {n // 2 + t: (t + 1) % (n // 2) for t in range(n // 2)}
+    g = build_kpclp_path(f_a, f_b, n)
+    outcome("k-pclp:k=3", path_graph(4))  # some other round-1 inbox first
+    calls = []
+
+    def counting(adj):
+        calls.append(adj)
+        return path_order(adj)
+
+    monkeypatch.setattr(protocols, "path_order", counting)
+    assert outcome("k-pclp:k=3", g).accept == membership("k-pclp:k=3", g)
+    assert len(calls) == 1
+
+
+def _round1_inbox(name, g):
+    """The round-1 broadcasts of protocol `name` on g, as every node sees them."""
+    named = proto_registry(name)
+    result = run(named.protocol, g, Schedule.parse("B"), record=False)
+    return result.final_inboxes[g.nodes[0]]
+
+
+# two instances each whose round-1 inboxes and verdicts differ
+_XIP_PAIR = (
+    build_xor_index_path(4, "0110", "1010", 2, 3),
+    build_xor_index_path(4, "0110", "1010", 3, 2),
+)
+_KPCLP_PAIR = (
+    build_kpclp_path({0: 2, 1: 3}, {2: 1, 3: 0}, 4),
+    build_kpclp_path({0: 3, 1: 2}, {2: 0, 3: 1}, 4),
+)
+
+
+@pytest.mark.parametrize(
+    "name,decoder,pair",
+    [
+        ("xor-index-path", "xor_path_structure", _XIP_PAIR),
+        ("k-pclp:k=1", "kpclp_round1_structure", _KPCLP_PAIR),
+    ],
+)
+def test_structure_memo_is_keyed_by_value(name, decoder, pair):
+    structure = getattr(protocols, decoder)
+    g = pair[0]
+    w = id_width(g.big_n)
+    inbox = _round1_inbox(name, g)
+    copy = tuple((sender, msg[:1] + msg[1:]) for sender, msg in inbox)
+    assert copy is not inbox and copy == inbox
+    first = structure(inbox, w)
+    assert first is not None
+    assert structure(copy, w) == first
+    structure(_round1_inbox(name, pair[1]), w)
+    assert structure(copy, w) == first
+    # the same bits under another width frame nothing, in either order
+    assert structure(inbox, w + 1) is None
+    assert structure(inbox, w) == first
+    # nodes share the result, so no part of it is mutable
+    assert all(isinstance(part, (int, tuple, MappingProxyType)) for part in first)
+
+
+@pytest.mark.parametrize("name,pair", [("xor-index-path", _XIP_PAIR), ("k-pclp:k=1", _KPCLP_PAIR)])
+def test_alternating_instances_keep_their_own_outcome(name, pair):
+    a, b = pair
+    runs = [outcome(name, g) for g in (a, b, a, b)]
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert [v.accept for v in runs] == [membership(name, g) for g in (a, b, a, b)]
+    assert runs[0].accept != runs[1].accept
