@@ -187,16 +187,6 @@ class Transcript:
         self.totals: dict[str, int] = {"L": 0, "B": 0, "C": 0}
         self.max_bits: dict[str, int] = {"L": 0, "B": 0, "C": 0}
 
-    def _add(self, round_index: int, kind: str, sender: int, receiver: int | None, payload: str):
-        nbits = len(payload)
-        self.totals[kind] += nbits
-        if nbits > self.max_bits[kind]:
-            self.max_bits[kind] = nbits
-        if self.record:
-            self.events.append(
-                TranscriptEvent(round_index, kind, sender, receiver, nbits, payload)
-            )
-
     @property
     def total_bits(self) -> int:
         return sum(self.totals.values())
@@ -261,11 +251,10 @@ def make_views(graph: LabeledGraph, seed: int) -> dict[int, NodeView]:
     }
 
 
-def _check_payload(payload, round_index: int, sender: int):
-    if not isinstance(payload, str) or payload.strip("01"):
-        raise ProtocolContractError(
-            f"round {round_index}: node {sender} produced a non-bit payload {payload!r}"
-        )
+def _non_bit(payload, round_index: int, sender: int) -> ProtocolContractError:
+    return ProtocolContractError(
+        f"round {round_index}: node {sender} produced a non-bit payload {payload!r}"
+    )
 
 
 def run(
@@ -278,55 +267,74 @@ def run(
     """Execute the protocol once; deterministic given (protocol, graph,
     schedule, seed). Returns a RunResult that unpacks to (verdict, transcript).
     """
+    init, round_, decide = protocol.init, protocol.round, protocol.decide
     nodes = graph.nodes
-    views = make_views(graph, seed)
-    states = {v: protocol.init(views[v]) for v in nodes}
-    inboxes: dict[int, Inbox] = {v: () for v in nodes}
+    # states and inboxes by node position
+    states = [init(view) for view in make_views(graph, seed).values()]
+    inboxes: list[Inbox] = [()] * len(nodes)
     transcript = Transcript(record)
+    events, totals, max_bits = transcript.events, transcript.totals, transcript.max_bits
     bw = schedule.bandwidth(graph.n)
+    kinds = schedule.kinds
+    if any(kind is not RoundKind.BCC for kind in kinds):
+        nbr_sets = [frozenset(graph.neighbors(v)) for v in nodes]
 
-    for round_index, kind in enumerate(schedule.kinds, start=1):
-        outs: dict[int, object] = {}
-        for v in nodes:
-            result = protocol.round(states[v], round_index, kind, inboxes[v])
+    for round_index, kind in enumerate(kinds, start=1):
+        outs = []
+        for i, v in enumerate(nodes):
+            result = round_(states[i], round_index, kind, inboxes[i])
             if not isinstance(result, tuple) or len(result) != 2:
                 raise ProtocolContractError(
                     f"round {round_index}: node {v} round() must return (state, outbox)"
                 )
-            states[v], outs[v] = result
+            states[i] = result[0]
+            outs.append(result[1])
 
+        kind_char = kind.value
+        bits = top = 0
         if kind is RoundKind.BCC:
-            for v in nodes:
-                payload = outs[v]
-                _check_payload(payload, round_index, v)
-                if len(payload) > bw:
-                    raise BandwidthViolationError(round_index, v, len(payload), bw)
-                transcript._add(round_index, "B", v, None, payload)
-            shared: Inbox = tuple((v, outs[v]) for v in nodes)
-            inboxes = {v: shared for v in nodes}
+            for v, payload in zip(nodes, outs):
+                if not isinstance(payload, str) or payload.strip("01"):
+                    raise _non_bit(payload, round_index, v)
+                size = len(payload)
+                if size > bw:
+                    raise BandwidthViolationError(round_index, v, size, bw)
+                bits += size
+                if size > top:
+                    top = size
+                if record:
+                    events.append(TranscriptEvent(round_index, "B", v, None, size, payload))
+            shared: Inbox = tuple(zip(nodes, outs))
+            inboxes = [shared] * len(nodes)
         else:
-            kind_char = kind.char
             capped = kind is RoundKind.CONGEST
             buckets: dict[int, list[tuple[int, str]]] = {v: [] for v in nodes}
-            for v in nodes:
-                outbox = outs[v]
+            for v, outbox, nbrs in zip(nodes, outs, nbr_sets):
                 if not isinstance(outbox, dict):
                     raise ProtocolContractError(
                         f"round {round_index}: node {v} must return a neighbor->bits dict"
                     )
-                nbrs = set(graph.neighbors(v))
                 for u, payload in outbox.items():
                     if u not in nbrs:
                         raise ProtocolContractError(
                             f"round {round_index}: node {v} addressed non-neighbor {u}"
                         )
-                    _check_payload(payload, round_index, v)
-                    if capped and len(payload) > bw:
-                        raise BandwidthViolationError(round_index, v, len(payload), bw)
-                    transcript._add(round_index, kind_char, v, u, payload)
+                    if not isinstance(payload, str) or payload.strip("01"):
+                        raise _non_bit(payload, round_index, v)
+                    size = len(payload)
+                    if capped and size > bw:
+                        raise BandwidthViolationError(round_index, v, size, bw)
+                    bits += size
+                    if size > top:
+                        top = size
+                    if record:
+                        events.append(TranscriptEvent(round_index, kind_char, v, u, size, payload))
                     buckets[u].append((v, payload))
             # senders ran in id order and name each receiver once: already sorted
-            inboxes = {v: tuple(buckets[v]) for v in nodes}
+            inboxes = [tuple(bucket) for bucket in buckets.values()]
+        totals[kind_char] += bits
+        if top > max_bits[kind_char]:
+            max_bits[kind_char] = top
 
-    per_node = {v: bool(protocol.decide(states[v], inboxes[v])) for v in nodes}
-    return RunResult(Verdict(per_node), transcript, inboxes)
+    per_node = {v: bool(decide(state, inbox)) for v, state, inbox in zip(nodes, states, inboxes)}
+    return RunResult(Verdict(per_node), transcript, dict(zip(nodes, inboxes)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, product, starmap
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -158,6 +159,17 @@ class LabeledGraph:
         object.__setattr__(self, "edges", frozenset(edge_set))
         object.__setattr__(self, "labels", label_map)
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+
+    def _relabeled(self, labels: dict[int, Label]) -> "LabeledGraph":
+        """Trusted constructor: this graph's nodes, edges and adjacency, shared,
+        under `labels`, which must map every node in order to a Label and
+        becomes the new graph's own dict."""
+        g = object.__new__(LabeledGraph)
+        object.__setattr__(g, "nodes", self.nodes)
+        object.__setattr__(g, "edges", self.edges)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "_adj", self._adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGraph is immutable")
@@ -495,26 +507,31 @@ def build_special_disjointness(n: int, x: str, y: str, b: str) -> LabeledGraph:
     return LabeledGraph(list(range(1, 7)) + clique_ids, edges, labels)
 
 
+@lru_cache(maxsize=8)
+def _disj_4partite_skeleton(n: int) -> LabeledGraph:
+    """The blank complete 4-partite graph on id blocks of size n."""
+    blocks = [range(q * n + 1, (q + 1) * n + 1) for q in range(4)]
+    edges = [
+        (u, v) for qa, qb in combinations(range(4), 2) for u in blocks[qa] for v in blocks[qb]
+    ]
+    return LabeledGraph(range(1, 4 * n + 1), edges)
+
+
 def build_disj_4partite(x_rows: Sequence[str], y_rows: Sequence[str]) -> LabeledGraph:
     """Complete 4-partite graph on id blocks of size n; first block holds the
     rows of X, last block the rows of Y, middle blocks are blank."""
     n = len(x_rows)
     if n < 1 or len(y_rows) != n:
         raise InvalidInstanceError("X and Y must have the same positive row count")
-    for r in list(x_rows) + list(y_rows):
+    for r in chain(x_rows, y_rows):
         if not is_bits(r) or len(r) != n:
             raise InvalidInstanceError(f"rows must be {n}-bit strings, got {r!r}")
-    blocks = [list(range(q * n + 1, (q + 1) * n + 1)) for q in range(4)]
-    edges = []
-    for qa in range(4):
-        for qb in range(qa + 1, 4):
-            edges += [(u, v) for u in blocks[qa] for v in blocks[qb]]
-    labels: dict[int, Label] = {}
-    for t, v in enumerate(blocks[0]):
-        labels[v] = Label.of_bits(x_rows[t])
-    for t, v in enumerate(blocks[3]):
-        labels[v] = Label.of_bits(y_rows[t])
-    return LabeledGraph(range(1, 4 * n + 1), edges, labels)
+    skeleton = _disj_4partite_skeleton(n)
+    labels = dict(skeleton.labels)
+    for t in range(n):
+        labels[t + 1] = Label.of_bits(x_rows[t])
+        labels[3 * n + t + 1] = Label.of_bits(y_rows[t])
+    return skeleton._relabeled(labels)
 
 
 _GADGET_BUILDERS = {

@@ -8,7 +8,7 @@ suite is exhaustively tested against.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from .graphs import (
@@ -371,24 +371,25 @@ def disj_4partite(g: LabeledGraph) -> bool:
     n = total // 4
     if g.nodes != tuple(range(1, total + 1)):
         return False
-    blocks = [set(range(q * n + 1, (q + 1) * n + 1)) for q in range(4)]
-    all_ids = set(g.nodes)
-    for q, block in enumerate(blocks):
+    blocks = [range(q * n + 1, (q + 1) * n + 1) for q in range(4)]
+    for block in blocks:
+        # neighbour tuples are sorted: compare with the sorted ids outside the block
+        others = (*range(1, block.start), *range(block.stop, total + 1))
         for v in block:
-            if set(g.neighbors(v)) != all_ids - block:
+            if g.neighbors(v) != others:
                 return False
     x_rows, y_rows = [], []
-    for v in sorted(blocks[0]):
+    for v in blocks[0]:
         r = _bits_label(g.label(v), n)
         if r is None:
             return False
         x_rows.append(r)
-    for v in sorted(blocks[3]):
+    for v in blocks[3]:
         r = _bits_label(g.label(v), n)
         if r is None:
             return False
         y_rows.append(r)
-    for v in sorted(blocks[1] | blocks[2]):
+    for v in chain(blocks[1], blocks[2]):
         if not g.label(v).is_blank:
             return False
     for i in range(1, n + 1):

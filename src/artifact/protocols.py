@@ -14,15 +14,15 @@ sub-objects it shares.
 
 Decoding that depends only on a shared broadcast inbox, not on the node
 reading it, happens once per round: it is a pure function of the inbox's
-value, memoised by value (`xor_path_structure`, `kpclp_round1_structure`),
-so every node after the first looks the result up.
+value, memoised by value in one slot (`_last_inbox_memo`), so every node
+after the first looks the result up without hashing the inbox again.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 from typing import Container, Mapping, NamedTuple, Sequence
 
@@ -51,6 +51,24 @@ from .languages import disjoint, membership, parse_language_id, path_order
 
 def _deg_code(d: int) -> str:
     return format(min(d, 3), "02b")
+
+
+def _last_inbox_memo(decode):
+    """Memoise `decode(inbox, w)` for the last inbox seen: a lookup hits when
+    the inbox is that very object or equal to it, under the same w, so the
+    result depends on values only and a hit costs no hashing of the inbox."""
+    last: list = [None, None, None]  # inbox, w, result
+
+    @wraps(decode)
+    def memo(inbox: Inbox, w: int):
+        seen, seen_w, result = last
+        if w == seen_w and (inbox is seen or inbox == seen):
+            return result
+        result = decode(inbox, w)
+        last[:] = inbox, w, result
+        return result
+
+    return memo
 
 
 def _records(inbox: Inbox) -> dict[int, object]:
@@ -202,7 +220,7 @@ class XorIndexPathProtocol(Protocol):
         return got[left] != got[right]
 
 
-@lru_cache(maxsize=1)
+@_last_inbox_memo
 def xor_path_structure(inbox: Inbox, w: int):
     """The path a round-1 xor-index-path inbox describes, which is the same
     at every node: (order, position, i_val, j_val) with `position` mapping
@@ -480,7 +498,7 @@ class KPclpProtocol(Protocol):
         return bin(chase[-1]).count("1") % 2 == 1
 
 
-@lru_cache(maxsize=1)
+@_last_inbox_memo
 def kpclp_round1_structure(inbox: Inbox, w: int):
     """The node-independent part of a round-1 k-pclp inbox: (a_end, b_end,
     v1, ndom_a, size_b), or None if the framing or the path is bad."""
@@ -859,6 +877,12 @@ class DisjEdgeStarProtocol(Protocol):
 # disjointness on a complete 4-partite graph — schedule [C, C]
 
 
+@lru_cache(maxsize=32)
+def _other_blocks(n: int, block: int) -> tuple[int, ...]:
+    """The sorted ids of the three blocks of size n other than `block`."""
+    return tuple(v for v in range(1, 4 * n + 1) if (v - 1) // n != block)
+
+
 class Disj4PartiteProtocol(Protocol):
     """Two capped routing rounds over canonical id blocks: the first block
     spreads its rows bit-by-bit across the second block, the fourth across the
@@ -870,12 +894,7 @@ class Disj4PartiteProtocol(Protocol):
         n = total // 4 if total % 4 == 0 else 0
         me = view.node
         block = (me - 1) // n if n and me <= 4 * n else -1
-        ok = n >= 1 and block >= 0
-        if ok:
-            expected = set(range(1, 4 * n + 1)) - set(
-                range(block * n + 1, (block + 1) * n + 1)
-            )
-            ok = set(view.neighbors) == expected
+        ok = n >= 1 and block >= 0 and view.neighbors == _other_blocks(n, block)
         lab = view.label
         if ok:
             if block in (0, 3):

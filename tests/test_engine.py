@@ -12,8 +12,8 @@ from artifact.engine import (
     run,
     schedule_cost,
 )
-from artifact.graphs import path_graph, clique_graph
-from artifact.protocols import proto_registry
+from artifact.graphs import clique_graph, enumerate_small_instances, path_graph
+from artifact.protocols import proto_registry, protocol_ids
 
 
 class Echo(Protocol):
@@ -184,6 +184,75 @@ class BadReturn(Echo):
 def test_round_must_return_pair():
     with pytest.raises(ProtocolContractError):
         run(BadReturn(), path_graph(2), Schedule.parse("L"))
+
+
+class Faulty(Echo):
+    """Echo, except that node 3 returns `fault(state, outbox)` in round 2."""
+
+    def __init__(self, fault):
+        super().__init__()
+        self.fault = fault
+
+    def round(self, state, index, kind, inbox):
+        state, out = super().round(state, index, kind, inbox)
+        if index == 2 and state["view"].node == 3:
+            return self.fault(state, out)
+        return state, out
+
+
+def _each(payload):
+    """Replace every payload of an outbox, broadcast or point-to-point."""
+    return lambda state, out: (
+        state, {u: payload for u in out} if isinstance(out, dict) else payload
+    )
+
+
+# fault -> (kinds it applies to, its fault, the error, the message after "node 3 ")
+CONTRACT_FAULTS = {
+    "non-bit payload": ("BLC", _each("102"), ProtocolContractError, "produced a non-bit payload '102'"),
+    "non-str payload": ("BLC", _each(7), ProtocolContractError, "produced a non-bit payload 7"),
+    "non-neighbour": ("LC", lambda state, out: (state, {99: "1"}), ProtocolContractError,
+                      "addressed non-neighbor 99"),
+    "non-dict outbox": ("LC", lambda state, out: (state, "1"), ProtocolContractError,
+                        "must return a neighbor->bits dict"),
+    "bad round() return": ("BLC", lambda state, out: state, ProtocolContractError,
+                           "round() must return (state, outbox)"),
+    "bandwidth": ("BC", _each("11111"), BandwidthViolationError, "sent 5 bits (limit 4)"),
+}
+
+
+@pytest.mark.parametrize(
+    "fault,kind",
+    [(fault, kind) for fault, (kinds, *_) in CONTRACT_FAULTS.items() for kind in kinds],
+)
+def test_contract_errors_name_the_round_and_the_node(fault, kind):
+    _, make, error, message = CONTRACT_FAULTS[fault]
+    sched = Schedule.parse(f"{kind},{kind}", bandwidth=lambda n: 4)
+    with pytest.raises(error) as err:
+        run(Faulty(make), clique_graph(4), sched)
+    assert type(err.value) is error
+    assert str(err.value) == f"round 2: node 3 {message}"
+
+
+@pytest.mark.parametrize("row", protocol_ids())
+def test_recording_modes_agree(row):
+    named = proto_registry(row)
+    for g in enumerate_small_instances(named.family, 2):
+        full = run(named.protocol, g, named.schedule)
+        lean = run(named.protocol, g, named.schedule, record=False)
+        assert full.verdict == lean.verdict
+        assert full.verdict.rejectors == lean.verdict.rejectors
+        assert full.transcript.totals == lean.transcript.totals
+        assert full.transcript.max_bits == lean.transcript.max_bits
+        assert full.final_inboxes == lean.final_inboxes
+        assert lean.transcript.events == []
+        sums, tops = {"L": 0, "B": 0, "C": 0}, {"L": 0, "B": 0, "C": 0}
+        for e in full.transcript.events:
+            assert e.bits == len(e.payload)
+            sums[e.kind] += e.bits
+            tops[e.kind] = max(tops[e.kind], e.bits)
+        assert sums == full.transcript.totals
+        assert tops == full.transcript.max_bits
 
 
 class Coin(Protocol):

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,45 @@ def test_disj_on_path_shape():
 def test_disj_4partite_shape():
     g = build_disj_4partite(["10", "01"], ["11", "00"])
     assert g.n == 8
+
+
+def _public_disj_4partite(x_rows, y_rows):
+    """build_disj_4partite's graph, made by the public constructor."""
+    n = len(x_rows)
+    ids = range(1, 4 * n + 1)
+    edges = [(u, v) for u in ids for v in ids if u < v and (u - 1) // n != (v - 1) // n]
+    rows = {t + 1: r for t, r in enumerate(x_rows)}
+    rows.update({3 * n + t + 1: r for t, r in enumerate(y_rows)})
+    return LabeledGraph(ids, edges, {v: Label.of_bits(r) for v, r in rows.items()})
+
+
+def _disj_4partite_rows():
+    """Every row pair with n <= 2, then 200 seeded ones with n = 3."""
+    for n in (1, 2):
+        rows = [format(v, f"0{n}b") for v in range(1 << n)]
+        for x_rows in product(rows, repeat=n):
+            for y_rows in product(rows, repeat=n):
+                yield list(x_rows), list(y_rows)
+    for code in random.Random(3).sample(range(1 << 18), 200):
+        bits = format(code, "018b")
+        yield [bits[t : t + 3] for t in range(0, 9, 3)], [bits[t : t + 3] for t in range(9, 18, 3)]
+
+
+def test_disj_4partite_equals_the_public_constructor():
+    built = []
+    for x_rows, y_rows in _disj_4partite_rows():
+        g, ref = build_disj_4partite(x_rows, y_rows), _public_disj_4partite(x_rows, y_rows)
+        assert g == ref and hash(g) == hash(ref)
+        assert g.to_json() == ref.to_json()
+        assert dict(g.adjacency) == dict(ref.adjacency)
+        assert list(g.labels) == list(ref.labels)
+        built.append(g)
+    # instances share their topology but never a labels dict
+    assert len({id(g.labels) for g in built}) == len(built)
+    again = build_disj_4partite(["10", "01"], ["11", "00"])
+    first = build_disj_4partite(["10", "01"], ["11", "00"])
+    assert again == first and again.labels is not first.labels
+    assert again.edges is first.edges
 
 
 def test_disj_on_clique_builder():

@@ -424,10 +424,25 @@ def _large_kpclp_instances(n, language):
     yield _path_with(ids + [max(ids) + 1, max(ids) + 2], ends(*halves()))  # 2n + 2 nodes
 
 
-_LARGE_INSTANCES = {"xor-index-path": _large_xip_instances, "k-pclp": _large_kpclp_instances}
+def _large_disj4_instances(n, language):
+    """2,000 seeded distinct instances of disj-4partite at size n."""
+    rng = random.Random(4000 + n)
+    width = 2 * n * n
+    for code in rng.sample(range(1 << width), 2000):
+        bits = format(code, f"0{width}b")
+        rows = [bits[t : t + n] for t in range(0, width, n)]
+        yield build_disj_4partite(rows[:n], rows[n:])
+
+
+_LARGE_INSTANCES = {
+    "xor-index-path": _large_xip_instances,
+    "k-pclp": _large_kpclp_instances,
+    "disj-4partite": _large_disj4_instances,
+}
 
 # (row, n) -> sha256 over the run outcomes of that row's large instances,
-# pinned while every node still decoded the whole broadcast inbox itself
+# pinned while every node still decoded the whole broadcast inbox itself; the
+# disj-4partite row while every instance still built its own topology
 LARGE_RUN_DIGESTS = {
     ("xor-index-path", 8): "c52bdaa68911908a4f69d18fe133b13c8a60fdb36d5a17fd1ce021fe9346a9b9",
     ("xor-index-path", 16): "463a9b61cb9daee28197882fe3b69e24df83ac6d829eafd37a80d2e74fcbfc9c",
@@ -439,6 +454,7 @@ LARGE_RUN_DIGESTS = {
     ("k-pclp:k=2", 32): "a59ec8175077f3d2c207f964c6063b78a7956a035c93e69c7476f3581f0cd1e4",
     ("k-pclp:k=3", 8): "eeafa0b43a4dfe98d0da9a203b2b6279d66b66c0a72fd24e76a4f75d0720460b",
     ("k-pclp:k=3", 32): "b996046709354034e0c97cc3282af163df83c30f5f377bd444de1a0b88916466",
+    ("disj-4partite", 3): "57b28e71e2339c4b6480c8a6359d225f4e3b7cbab02662559b81e4fe911e1485",
 }
 
 
