@@ -11,6 +11,7 @@ or from the generator mini-language, e.g.::
     random:8:seed=3              seeded random labeled graph
     xor-index-path:n=2,x=10,y=01,i=1,j=2
     disj-on-clique:rows=101+011+110
+    k-pclp:n=2,f_a=0.1,f_b=1.0   pointer map halves, entry t.v maps t to v
 
 Positional segments and param=value pairs may be mixed; list-valued params
 join their items with '+'.  Commands that run the engine (`simulate`,
@@ -67,7 +68,13 @@ def _coerce(key: str, value: str):
     if key in _INT_LIST_KEYS:
         return tuple(int(v) for v in value.split("+"))
     if key in _MAP_KEYS:
-        return {t: int(v) for t, v in enumerate(value.split("+"))}
+        pairs = [entry.partition(".") for entry in value.split("+")]
+        if not all(dot and t.isdecimal() and v.isdecimal() for t, dot, v in pairs):
+            raise InvalidInstanceError(f"{key} entries must read t.v, got {value!r}")
+        f = {int(t): int(v) for t, _, v in pairs}
+        if len(f) != len(pairs):
+            raise InvalidInstanceError(f"{key} maps some pointer twice: {value!r}")
+        return f
     return value
 
 

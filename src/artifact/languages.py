@@ -36,7 +36,8 @@ def path_order(adj: Mapping[int, Sequence[int]]) -> list[int] | None:
     The returned orientation starts at the smaller-id endpoint. A single node
     is the trivial path. The mapping may be claimed rather than a graph's
     (protocols rebuild it from broadcasts), so it need not be symmetric: the
-    walk also checks that each next node is in the mapping and not yet seen.
+    walk also checks that each next node is in the mapping and not yet seen,
+    and that the far end claims the node it was reached from.
     """
     if len(adj) == 1:
         (v, ns), = adj.items()
@@ -54,7 +55,7 @@ def path_order(adj: Mapping[int, Sequence[int]]) -> list[int] | None:
         prev = order[-1]
         order.append(candidates[0])
         seen.add(candidates[0])
-    return order if order[-1] == max(ends) else None
+    return order if order[-1] == max(ends) and prev in adj[order[-1]] else None
 
 
 def _triangles(g: LabeledGraph):
@@ -137,15 +138,6 @@ def tomdf(g: LabeledGraph) -> bool:
 
 def triangle_freeness(g: LabeledGraph) -> bool:
     return next(_triangles(g), None) is None
-
-
-def c4_freeness(g: LabeledGraph) -> bool:
-    """No 4-cycle: no two nodes share two or more common neighbors."""
-    for u, v in combinations(g.nodes, 2):
-        common = set(g.neighbors(u)) & set(g.neighbors(v))
-        if len(common) >= 2:
-            return False
-    return True
 
 
 def disj_on_clique(g: LabeledGraph) -> bool:
@@ -407,7 +399,6 @@ _ORACLES = {
     "xor-index-path": xor_index_path,
     "tomdf": tomdf,
     "triangle-freeness": triangle_freeness,
-    "c4-freeness": c4_freeness,
     "disj-on-clique": disj_on_clique,
     "disj-on-edge": disj_on_edge,
     "disj-on-path": disj_on_path,

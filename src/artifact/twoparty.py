@@ -1,10 +1,15 @@
 """Two-party one-round protocols: exact evaluation, exhaustive search, and
 the cut-communication meter for network runs.
 
+The two-party problem is XOR-Index(n): Alice holds (x, i) and Bob holds
+(y, j), with n-bit strings x, y and 1-based indices i, j in [1, n].  The
+target bit is x_j XOR y_i, and a protocol answers correctly when
+out_A AND out_B equals it.
+
 Everything here is exact: protocol error probabilities are Fractions computed
-by full enumeration of the input space (and the shared tape, if any), and the
-brute-force search enumerates message maps outright while optimizing output
-tables slice by slice — for a fixed pair of message maps the optimal outputs
+by full enumeration of the input space, and the brute-force search
+enumerates message maps outright while optimizing output tables slice by
+slice — for a fixed pair of message maps the optimal outputs
 decouple across index pairs (i, j), and within a slice Bob's best reply to a
 fixed Alice table is a per-entry greedy choice.  That keeps the candidate
 space honest (it is counted before searching) without giving up exactness.
@@ -31,92 +36,29 @@ from typing import Callable, Mapping, Sequence
 from ._bits import encode_int, is_bits
 from .engine import RunResult, run
 from .graphs import LabeledGraph
-from .languages import pointer_chase
 from .protocols import NamedProtocol
 
 __all__ = [
-    "PROBLEMS",
     "SearchTooLargeError",
-    "TwoPartyInstance",
     "OneRoundProtocol",
     "CutConfig",
     "CutReport",
-    "PointerChaseRun",
-    "PointerChasingProtocol",
-    "xor_index_value",
     "trivial_xor_index_protocol",
     "eval_protocol_error",
     "bruteforce_min_error",
     "search_result_json",
     "cut_communication",
-    "pointer_chase",
-    "pointer_chasing_protocol",
 ]
-
-PROBLEMS = ("xor-index", "disj", "pointer-chasing")
 
 #: Hard cap on enumerated candidates for bruteforce_min_error.
 SEARCH_BUDGET = 10**8
 
-#: Hard cap on (input tuples x tape cells) for eval_protocol_error.
+#: Hard cap on input tuples for eval_protocol_error.
 EVAL_BUDGET = 1 << 22
 
 
 class SearchTooLargeError(ValueError):
     """The requested exhaustive computation exceeds the search budget."""
-
-
-@dataclass(frozen=True)
-class TwoPartyInstance:
-    """One problem instance; input shapes depend on the problem.
-
-    xor-index(n):        alice = (x, i), bob = (y, j) with n-bit x, y and
-                         1-based indices.
-    disj(n):             alice = x, bob = y (n-bit incidence strings).
-    pointer-chasing(n,k): alice = f_A, bob = f_B, each a tuple of n values
-                         in [0, n).
-    """
-
-    problem: str
-    n: int
-    alice_input: object
-    bob_input: object
-    k: int = 0
-
-    def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        a, b = self.alice_input, self.bob_input
-        if self.problem == "xor-index":
-            x, i = a
-            y, j = b
-            if not (is_bits(x) and is_bits(y) and len(x) == self.n == len(y)):
-                raise ValueError("x and y must be n-bit strings")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError("indices must lie in [1, n]")
-        elif self.problem == "disj":
-            if not (is_bits(a) and is_bits(b) and len(a) == self.n == len(b)):
-                raise ValueError("x and y must be n-bit strings")
-        else:
-            if self.k < 1:
-                raise ValueError("pointer chasing needs k >= 1")
-            for f in (a, b):
-                vals = tuple(f)
-                if len(vals) != self.n or any(
-                    not isinstance(v, int) or not 0 <= v < self.n for v in vals
-                ):
-                    raise ValueError("pointer maps must be length-n tuples into [0, n)")
-
-
-def xor_index_value(inst: TwoPartyInstance) -> int:
-    """The target bit x_j XOR y_i (1-based indexing into the strings)."""
-    if inst.problem != "xor-index":
-        raise ValueError("not an xor-index instance")
-    x, i = inst.alice_input
-    y, j = inst.bob_input
-    return int(x[j - 1]) ^ int(y[i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +67,8 @@ def xor_index_value(inst: TwoPartyInstance) -> int:
 
 @dataclass(frozen=True)
 class OneRoundProtocol:
-    """A simultaneous one-message protocol.
+    """A deterministic simultaneous one-message protocol.
 
-    Message functions may consult the shared tape cell rho in
-    [0, rho_count); deterministic protocols use rho_count = 1 and ignore it.
     Output functions receive the peer's message plus the peer's index — the
     indices ride along for free and only the x/y-dependent payload is
     metered against k_a / k_b.
@@ -137,11 +77,10 @@ class OneRoundProtocol:
     n: int
     k_a: int
     k_b: int
-    alice_msg: Callable[[str, int, int], str]
-    bob_msg: Callable[[str, int, int], str]
+    alice_msg: Callable[[str, int], str]
+    bob_msg: Callable[[str, int], str]
     alice_out: Callable[[str, int, str, int], int]
     bob_out: Callable[[str, int, str, int], int]
-    rho_count: int = 1
     tables: Mapping[str, Mapping] | None = field(default=None, compare=False)
 
 
@@ -160,10 +99,10 @@ def trivial_xor_index_protocol(n: int) -> OneRoundProtocol:
         raise ValueError("need n >= 1")
     w = _index_width(n)
 
-    def a_msg(x: str, i: int, rho: int) -> str:
+    def a_msg(x: str, i: int) -> str:
         return x + encode_int(i - 1, w) if w else x
 
-    def b_msg(y: str, j: int, rho: int) -> str:
+    def b_msg(y: str, j: int) -> str:
         return y + encode_int(j - 1, w) if w else y
 
     def a_out(x: str, i: int, mb: str, j: int) -> int:
@@ -187,41 +126,38 @@ def _bit_strings(n: int) -> list[str]:
 def eval_protocol_error(protocol: OneRoundProtocol, n: int) -> Fraction:
     """Exact error probability under the uniform distribution on (x, i, y, j).
 
-    Randomized protocols are averaged exactly over the rho_count tape cells.
     Raises SearchTooLargeError when the enumeration would exceed EVAL_BUDGET
     and ValueError if any message overruns its budget.
     """
-    rho_count = max(1, protocol.rho_count)
     xs = _bit_strings(n)
-    total = (len(xs) * n) ** 2 * rho_count
+    total = (len(xs) * n) ** 2
     if total > EVAL_BUDGET:
         raise SearchTooLargeError(f"{total} tuples exceed the evaluation budget")
     bad = 0
     indices = range(1, n + 1)
-    for rho in range(rho_count):
-        a_msgs = {}
-        for x in xs:
-            for i in indices:
-                m = protocol.alice_msg(x, i, rho)
-                if not is_bits(m) or len(m) > protocol.k_a:
-                    raise ValueError(f"alice message {m!r} breaks the {protocol.k_a}-bit budget")
-                a_msgs[x, i] = m
-        b_msgs = {}
-        for y in xs:
-            for j in indices:
-                m = protocol.bob_msg(y, j, rho)
-                if not is_bits(m) or len(m) > protocol.k_b:
-                    raise ValueError(f"bob message {m!r} breaks the {protocol.k_b}-bit budget")
-                b_msgs[y, j] = m
-        for x in xs:
-            for i in indices:
-                for y in xs:
-                    for j in indices:
-                        out_a = protocol.alice_out(x, i, b_msgs[y, j], j)
-                        out_b = protocol.bob_out(y, j, a_msgs[x, i], i)
-                        want = int(x[j - 1]) ^ int(y[i - 1])
-                        if (out_a & out_b) != want:
-                            bad += 1
+    a_msgs = {}
+    for x in xs:
+        for i in indices:
+            m = protocol.alice_msg(x, i)
+            if not is_bits(m) or len(m) > protocol.k_a:
+                raise ValueError(f"alice message {m!r} breaks the {protocol.k_a}-bit budget")
+            a_msgs[x, i] = m
+    b_msgs = {}
+    for y in xs:
+        for j in indices:
+            m = protocol.bob_msg(y, j)
+            if not is_bits(m) or len(m) > protocol.k_b:
+                raise ValueError(f"bob message {m!r} breaks the {protocol.k_b}-bit budget")
+            b_msgs[y, j] = m
+    for x in xs:
+        for i in indices:
+            for y in xs:
+                for j in indices:
+                    out_a = protocol.alice_out(x, i, b_msgs[y, j], j)
+                    out_b = protocol.bob_out(y, j, a_msgs[x, i], i)
+                    want = int(x[j - 1]) ^ int(y[i - 1])
+                    if (out_a & out_b) != want:
+                        bad += 1
     return Fraction(bad, total)
 
 
@@ -320,8 +256,8 @@ def _table_protocol(n, k_a, k_b, a_msg, b_msg, a_out, b_out) -> OneRoundProtocol
     }
     return OneRoundProtocol(
         n=n, k_a=k_a, k_b=k_b,
-        alice_msg=lambda x, i, rho: a_msg[x, i],
-        bob_msg=lambda y, j, rho: b_msg[y, j],
+        alice_msg=lambda x, i: a_msg[x, i],
+        bob_msg=lambda y, j: b_msg[y, j],
         alice_out=lambda x, i, mb, j: a_out.get((x, i, mb, j), 0),
         bob_out=lambda y, j, ma, i: b_out.get((y, j, ma, i), 0),
         tables=tables,
@@ -475,41 +411,3 @@ def cut_communication(named: NamedProtocol, graph: LabeledGraph, cfg: CutConfig,
         elif not sender_a and e.receiver in cfg.alice_nodes:
             b2a[r] += e.bits
     return CutReport(tuple(a2b), tuple(b2a)), result
-
-
-# ---------------------------------------------------------------------------
-# pointer chasing
-
-
-@dataclass(frozen=True)
-class PointerChaseRun:
-    transcript: tuple[int, ...]
-    pointer: int
-    output: int
-    bits: int
-
-
-@dataclass(frozen=True)
-class PointerChasingProtocol:
-    """k alternating rounds, each shipping the current pointer verbatim."""
-
-    k: int
-
-    def run(self, inst: TwoPartyInstance) -> PointerChaseRun:
-        if inst.problem != "pointer-chasing" or inst.k != self.k:
-            raise ValueError("instance does not match this protocol")
-        f_a, f_b = tuple(inst.alice_input), tuple(inst.bob_input)
-        width = max(1, (inst.n - 1).bit_length())
-        p = pointer_chase(f_a, f_b, self.k)
-        return PointerChaseRun(
-            transcript=tuple(pointer_chase(f_a, f_b, r) for r in range(1, self.k + 1)),
-            pointer=p,
-            output=bin(p).count("1") & 1,
-            bits=self.k * width,
-        )
-
-
-def pointer_chasing_protocol(k: int) -> PointerChasingProtocol:
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return PointerChasingProtocol(k)

@@ -1,14 +1,21 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from artifact import languages, protocols
+import artifact
+from artifact import cli, languages, protocols, twoparty, xorlb
 from artifact.cli import main, parse_generator, parse_node_set
 from artifact.engine import run
 from artifact.graphs import (
     InvalidInstanceError,
     LabeledGraph,
+    build_kpclp_path,
     enumerate_small_instances,
     marked_path,
 )
@@ -87,6 +94,25 @@ def test_simulate_rejects_bad_instance_file(tmp_path, capsys):
 def test_simulate_needs_exactly_one_source(capsys):
     assert main(["simulate", "--protocol", "tomdf"]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f_b_text, f_b", [("1.2+3.0", {1: 2, 3: 0}), ("1.0+3.2", {1: 0, 3: 2})])
+def test_simulate_kpclp_map_entries(capsys, f_b_text, f_b):
+    # entry t.v maps pointer t to v; the two halves split {0..3}
+    spec = f"k-pclp:n=4,f_a=0.1+2.3,f_b={f_b_text}"
+    g = build_kpclp_path({0: 1, 2: 3}, f_b, 4)
+    assert parse_generator(spec) == g
+    code = main(["simulate", "--protocol", "k-pclp:k=2", "--gen", spec])
+    report = json.loads(capsys.readouterr().out)
+    assert report["accept"] is languages.membership("k-pclp:k=2", g)
+    assert code == (0 if report["accept"] else 1)
+
+
+@pytest.mark.parametrize("f_a", ["0.1+2", "0.1+0.3", "0-1", "0.1.2", "a.1", ""])
+def test_simulate_kpclp_malformed_map_is_an_error_exit(capsys, f_a):
+    spec = f"k-pclp:n=4,f_a={f_a},f_b=1.2+3.0"
+    assert main(["simulate", "--protocol", "k-pclp:k=2", "--gen", spec]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +276,25 @@ def test_cost(capsys):
 def test_search_too_large_is_an_error_exit(capsys):
     assert main(["bruteforce", "--n", "2", "--ka", "2", "--kb", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# package surface and determinism
+
+
+@pytest.mark.parametrize("module", [artifact, twoparty, xorlb, cli], ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        assert hasattr(module, name), name
+
+
+def test_verify_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "artifact", "verify", "--max-n", "2"],
+            env=env, capture_output=True, check=True,
+        ).stdout
+        assert hashlib.md5(out).hexdigest() == "6322a6ef602899fbf08fe42fba42e60a", seed

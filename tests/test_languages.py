@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from artifact.graphs import (
@@ -21,7 +24,6 @@ from artifact.graphs import (
 )
 from artifact.languages import (
     LANGUAGE_IDS,
-    c4_freeness,
     disj_4partite,
     disj_edge_star,
     disj_on_clique,
@@ -54,6 +56,74 @@ def test_path_order():
     assert path_order(path_graph(1).adjacency) == [1]
 
 
+def _reference_path_edges(adj):
+    """The edge set of the simple path a node -> neighbours mapping claims, or
+    None. Written apart from `path_order`: every claim must be returned by its
+    target, and the graph must be connected with n-1 edges and degree <= 2."""
+    edges = set()
+    for u, ns in adj.items():
+        if len(ns) > 2 or len(set(ns)) != len(ns):
+            return None
+        for v in ns:
+            if v == u or v not in adj or u not in adj[v]:
+                return None
+            edges.add(frozenset((u, v)))
+    if len(edges) != len(adj) - 1:
+        return None
+    start = next(iter(adj))
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return edges if len(seen) == len(adj) else None
+
+
+def _check_path_order(adj):
+    got = path_order(adj)
+    want = _reference_path_edges(adj)
+    if want is None:
+        assert got is None, adj
+        return
+    assert got is not None, adj
+    assert sorted(got) == sorted(adj), adj
+    assert got[0] <= got[-1], adj  # starts at the smaller end
+    assert {frozenset(p) for p in zip(got, got[1:])} == want, adj
+
+
+def test_path_order_on_every_small_graph():
+    # every graph on <= 6 nodes, under its identity ids and two seeded
+    # relabelings; adjacency is built straight from the edge mask
+    rng = random.Random(6)
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        relabelings = [list(range(1, n + 1))] + [rng.sample(range(1, 64), n) for _ in range(2)]
+        for mask in range(1 << len(pairs)):
+            edges = [p for t, p in enumerate(pairs) if mask >> t & 1]
+            for ids in relabelings:
+                adj = {v: [] for v in ids}
+                for a, b in edges:
+                    adj[ids[a]].append(ids[b])
+                    adj[ids[b]].append(ids[a])
+                _check_path_order(adj)
+
+
+def test_path_order_on_asymmetric_claims():
+    # claimed lists need not agree: one-sided claims, self-claims, repeats
+    # and ids outside the mapping must all come back None
+    ids = (2, 3, 1)
+    lists = [()] + [(a,) for a in (*ids, 9)] + list(itertools.product((*ids, 9), repeat=2))
+    for claims in itertools.product(lists, repeat=3):
+        _check_path_order(dict(zip(ids, claims)))
+    ids = (4, 2, 1, 3)
+    for claims in itertools.product(*(
+        [(a,) for a in ids if a != v] + list(itertools.permutations([a for a in ids if a != v], 2))
+        for v in ids
+    )):
+        _check_path_order(dict(zip(ids, claims)))
+
+
 def test_one_marked_edge():
     # member iff the marked nodes induce exactly one edge
     assert one_marked_edge(marked_path("110"))
@@ -83,12 +153,6 @@ def test_tomdf():
     # triangle plus a higher-degree apex elsewhere still counts the apex only
     assert triangle_freeness(path_graph(4))
     assert not triangle_freeness(clique_graph(4))
-
-
-def test_c4_freeness():
-    assert not c4_freeness(cycle_graph(4))
-    assert c4_freeness(cycle_graph(5))
-    assert not c4_freeness(clique_graph(4))
 
 
 def test_disj_on_clique():
@@ -175,7 +239,7 @@ def test_k_pclp_rejects_malformed_maps():
 def test_language_registry():
     assert "tomdf" in LANGUAGE_IDS
     assert "triangle-freeness" in LANGUAGE_IDS
-    assert len(LANGUAGE_IDS) == 12
+    assert len(LANGUAGE_IDS) == 11
     assert parse_language_id("k-pclp:k=2") == ("k-pclp", 2)
     assert parse_language_id("tomdf") == ("tomdf", None)
     # the one parser behind both membership and proto_registry
@@ -192,7 +256,8 @@ def test_language_registry():
 
 def test_membership_dispatch():
     assert membership("tomdf", path_graph(3))
-    assert not membership("c4-freeness", cycle_graph(4))
+    with pytest.raises(ValueError, match="unknown language"):
+        membership("c4-freeness", cycle_graph(4))  # no oracle, no protocol
     f_a, f_b = {0: 1, 2: 3}, {1: 2, 3: 0}
     g = build_kpclp_path(f_a, f_b, 4)
     assert membership("k-pclp:k=2", g)

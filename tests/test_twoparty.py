@@ -7,53 +7,28 @@ import pytest
 
 from artifact import twoparty
 from artifact.graphs import build_clique_bridge, build_xor_index_path
+from artifact.languages import pointer_chase
 from artifact.protocols import proto_registry
 from artifact.twoparty import (
     CutConfig,
     OneRoundProtocol,
     SearchTooLargeError,
-    TwoPartyInstance,
     bruteforce_min_error,
     cut_communication,
     eval_protocol_error,
-    pointer_chase,
-    pointer_chasing_protocol,
     search_result_json,
     trivial_xor_index_protocol,
-    xor_index_value,
 )
 
 
 def constant_protocol(n, bit):
     return OneRoundProtocol(
         n=n, k_a=0, k_b=0,
-        alice_msg=lambda x, i, rho: "",
-        bob_msg=lambda y, j, rho: "",
+        alice_msg=lambda x, i: "",
+        bob_msg=lambda y, j: "",
         alice_out=lambda x, i, mb, j: bit,
         bob_out=lambda y, j, ma, i: bit,
     )
-
-
-# ---------------------------------------------------------------------------
-# instances and the target function
-
-
-def test_instance_validation():
-    TwoPartyInstance("xor-index", 2, ("10", 1), ("01", 2))
-    with pytest.raises(ValueError):
-        TwoPartyInstance("xor-index", 2, ("1", 1), ("01", 2))
-    with pytest.raises(ValueError):
-        TwoPartyInstance("xor-index", 2, ("10", 0), ("01", 2))
-    with pytest.raises(ValueError):
-        TwoPartyInstance("parity", 2, "10", "01")
-    with pytest.raises(ValueError):
-        TwoPartyInstance("pointer-chasing", 4, (0, 1, 2, 3), (0, 1, 2, 3), k=0)
-
-
-def test_xor_index_value():
-    assert xor_index_value(TwoPartyInstance("xor-index", 2, ("10", 1), ("01", 2))) == 0
-    assert xor_index_value(TwoPartyInstance("xor-index", 2, ("10", 1), ("00", 1))) == 1
-    assert xor_index_value(TwoPartyInstance("xor-index", 1, ("1", 1), ("1", 1))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +44,7 @@ def test_trivial_protocol_zero_error():
 def test_trivial_protocol_budget():
     proto = trivial_xor_index_protocol(4)
     assert proto.k_a == proto.k_b == 4 + 2  # n bits plus the free-rider index
-    msg = proto.alice_msg("1010", 3, 0)
+    msg = proto.alice_msg("1010", 3)
     assert len(msg) == proto.k_a
 
 
@@ -82,8 +57,8 @@ def test_constant_protocols_err_half():
 def test_eval_rejects_over_budget_messages():
     cheat = OneRoundProtocol(
         n=1, k_a=0, k_b=0,
-        alice_msg=lambda x, i, rho: x,  # 1 bit against a 0-bit budget
-        bob_msg=lambda y, j, rho: "",
+        alice_msg=lambda x, i: x,  # 1 bit against a 0-bit budget
+        bob_msg=lambda y, j: "",
         alice_out=lambda x, i, mb, j: 1,
         bob_out=lambda y, j, ma, i: 1,
     )
@@ -305,37 +280,9 @@ def test_cut_grows_gently_on_clique_bridge():
 # pointer chasing
 
 
-def test_pointer_chase_example():
-    f = (2, 3, 1, 0)
-    inst = TwoPartyInstance("pointer-chasing", 4, f, f, k=2)
-    run = pointer_chasing_protocol(2).run(inst)
-    assert run.transcript == (2, 1)
-    assert run.pointer == 1
-    assert run.output == 1
-    assert run.bits == 2 * 2  # two rounds of 2-bit pointers
-
-
 def test_pointer_chase_alternates_sides():
     f_a = (2, 3, 1, 0)
     f_b = (1, 0, 3, 2)
     assert pointer_chase(f_a, f_b, 1) == f_a[0]
     assert pointer_chase(f_a, f_b, 2) == f_b[f_a[0]]
     assert pointer_chase(f_a, f_b, 3) == f_a[f_b[f_a[0]]]
-
-
-def test_single_round_outputs_first_hop_parity():
-    for f0 in range(4):
-        f = (f0, 0, 0, 0)
-        inst = TwoPartyInstance("pointer-chasing", 4, f, f, k=1)
-        run = pointer_chasing_protocol(1).run(inst)
-        assert run.output == bin(f0).count("1") % 2
-        assert run.bits == 2
-
-
-def test_pointer_protocol_validates_instance():
-    inst = TwoPartyInstance("xor-index", 1, ("1", 1), ("1", 1))
-    with pytest.raises(ValueError):
-        pointer_chasing_protocol(1).run(inst)
-    good = TwoPartyInstance("pointer-chasing", 2, (1, 0), (1, 0), k=2)
-    with pytest.raises(ValueError):
-        pointer_chasing_protocol(1).run(good)  # k mismatch
