@@ -10,9 +10,19 @@ from __future__ import annotations
 from typing import Iterable
 
 
+# below this many characters `str.strip` is the faster bit check; above it,
+# deleting the bit bytes of the ASCII encoding is, and `strip` walks a long
+# payload one character at a time
+SHORT_BITS = 32
+
+
 def is_bits(s: object) -> bool:
     """True iff *s* is a str containing only '0'/'1' (empty string allowed)."""
-    return isinstance(s, str) and not s.strip("01")
+    if not isinstance(s, str):
+        return False
+    if len(s) < SHORT_BITS:
+        return not s.strip("01")
+    return s.isascii() and not s.encode().translate(None, b"01")
 
 
 def encode_int(value: int, width: int) -> str:

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
+from ._bits import SHORT_BITS, is_bits
 from .graphs import Label, LabeledGraph
 
 Inbox = tuple[tuple[int, str], ...]
@@ -136,8 +137,7 @@ class ProtocolContractError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """What a node knows at wake-up: its id, the graph size n, the id-space
     bound N, its sorted neighbor ids, its label, and the run seed."""
 
@@ -244,11 +244,8 @@ class RunResult:
 
 
 def make_views(graph: LabeledGraph, seed: int) -> dict[int, NodeView]:
-    n, big_n = graph.n, graph.big_n
-    return {
-        v: NodeView(v, n, big_n, graph.neighbors(v), graph.label(v), seed)
-        for v in graph.nodes
-    }
+    n, big_n, adj, labels = graph.n, graph.big_n, graph.adjacency, graph.labels
+    return {v: NodeView(v, n, big_n, adj[v], labels[v], seed) for v in graph.nodes}
 
 
 def _non_bit(payload, round_index: int, sender: int) -> ProtocolContractError:
@@ -276,8 +273,7 @@ def run(
     events, totals, max_bits = transcript.events, transcript.totals, transcript.max_bits
     bw = schedule.bandwidth(graph.n)
     kinds = schedule.kinds
-    if any(kind is not RoundKind.BCC for kind in kinds):
-        nbr_sets = [frozenset(graph.neighbors(v)) for v in nodes]
+    nbr_sets = graph.neighbor_sets
 
     for round_index, kind in enumerate(kinds, start=1):
         outs = []
@@ -294,9 +290,12 @@ def run(
         bits = top = 0
         if kind is RoundKind.BCC:
             for v, payload in zip(nodes, outs):
-                if not isinstance(payload, str) or payload.strip("01"):
+                if not isinstance(payload, str) or (
+                    payload.strip("01")
+                    if (size := len(payload)) < SHORT_BITS
+                    else not is_bits(payload)
+                ):
                     raise _non_bit(payload, round_index, v)
-                size = len(payload)
                 if size > bw:
                     raise BandwidthViolationError(round_index, v, size, bw)
                 bits += size
@@ -319,9 +318,12 @@ def run(
                         raise ProtocolContractError(
                             f"round {round_index}: node {v} addressed non-neighbor {u}"
                         )
-                    if not isinstance(payload, str) or payload.strip("01"):
+                    if not isinstance(payload, str) or (
+                        payload.strip("01")
+                        if (size := len(payload)) < SHORT_BITS
+                        else not is_bits(payload)
+                    ):
                         raise _non_bit(payload, round_index, v)
-                    size = len(payload)
                     if capped and size > bw:
                         raise BandwidthViolationError(round_index, v, size, bw)
                     bits += size

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, starmap
+from itertools import chain, combinations, product, repeat, starmap
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -115,7 +115,7 @@ _BLANK = Label(BLANK_KIND)
 class LabeledGraph:
     """Immutable simple graph with integer ids and per-node labels."""
 
-    __slots__ = ("nodes", "edges", "labels", "_adj")
+    __slots__ = ("nodes", "edges", "labels", "_adj", "_nbr_sets")
 
     def __init__(
         self,
@@ -159,16 +159,18 @@ class LabeledGraph:
         object.__setattr__(self, "edges", frozenset(edge_set))
         object.__setattr__(self, "labels", label_map)
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+        object.__setattr__(self, "_nbr_sets", tuple(map(frozenset, adj.values())))
 
     def _relabeled(self, labels: dict[int, Label]) -> "LabeledGraph":
-        """Trusted constructor: this graph's nodes, edges and adjacency, shared,
-        under `labels`, which must map every node in order to a Label and
-        becomes the new graph's own dict."""
+        """Trusted constructor: this graph's nodes, edges, adjacency and
+        neighbour sets, shared, under `labels`, which must map every node in
+        order to a Label and becomes the new graph's own dict."""
         g = object.__new__(LabeledGraph)
         object.__setattr__(g, "nodes", self.nodes)
         object.__setattr__(g, "edges", self.edges)
         object.__setattr__(g, "labels", labels)
         object.__setattr__(g, "_adj", self._adj)
+        object.__setattr__(g, "_nbr_sets", self._nbr_sets)
         return g
 
     def __setattr__(self, name, value):
@@ -190,6 +192,11 @@ class LabeledGraph:
     def adjacency(self) -> Mapping[int, tuple[int, ...]]:
         """Read-only node -> sorted neighbour tuple mapping."""
         return MappingProxyType(self._adj)
+
+    @property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Each node's neighbours as a frozenset, in the order of `nodes`."""
+        return self._nbr_sets
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -517,6 +524,10 @@ def _disj_4partite_skeleton(n: int) -> LabeledGraph:
     return LabeledGraph(range(1, 4 * n + 1), edges)
 
 
+# one Label per row string: labels are immutable values, so instances share them
+_row_label = lru_cache(maxsize=1024)(Label.of_bits)
+
+
 def build_disj_4partite(x_rows: Sequence[str], y_rows: Sequence[str]) -> LabeledGraph:
     """Complete 4-partite graph on id blocks of size n; first block holds the
     rows of X, last block the rows of Y, middle blocks are blank."""
@@ -527,11 +538,8 @@ def build_disj_4partite(x_rows: Sequence[str], y_rows: Sequence[str]) -> Labeled
         if not is_bits(r) or len(r) != n:
             raise InvalidInstanceError(f"rows must be {n}-bit strings, got {r!r}")
     skeleton = _disj_4partite_skeleton(n)
-    labels = dict(skeleton.labels)
-    for t in range(n):
-        labels[t + 1] = Label.of_bits(x_rows[t])
-        labels[3 * n + t + 1] = Label.of_bits(y_rows[t])
-    return skeleton._relabeled(labels)
+    labels = chain(map(_row_label, x_rows), repeat(_BLANK, 2 * n), map(_row_label, y_rows))
+    return skeleton._relabeled(dict(zip(skeleton.nodes, labels)))
 
 
 _GADGET_BUILDERS = {

@@ -8,7 +8,8 @@ suite is exhaustively tested against.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .graphs import (
@@ -353,42 +354,36 @@ def special_disjointness(g: LabeledGraph) -> bool:
     return disjoint(x, y) == (b_bit == "1")
 
 
+@lru_cache(maxsize=8)
+def _disj_4partite_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
+    """Each node's sorted neighbour ids in the complete 4-partite graph on id
+    blocks of size n: the ids outside its block, one of four tuples."""
+    total = 4 * n
+    blocks = [range(q * n + 1, (q + 1) * n + 1) for q in range(4)]
+    return tuple(
+        others for b in blocks for others in [(*range(1, b.start), *range(b.stop, total + 1))] * n
+    )
+
+
 def disj_4partite(g: LabeledGraph) -> bool:
     """Complete 4-partite graph on canonical id blocks of size n; membership
     requires no (i, j) with bit j of row i on the first side and bit i of
     row j on the last side both 1."""
     total = g.n
-    if total % 4 or total == 0:
+    if total % 4 or total == 0 or g.big_n != total:  # ids 1..total
         return False
     n = total // 4
-    if g.nodes != tuple(range(1, total + 1)):
+    if tuple(g.adjacency.values()) != _disj_4partite_neighbors(n):
         return False
-    blocks = [range(q * n + 1, (q + 1) * n + 1) for q in range(4)]
-    for block in blocks:
-        # neighbour tuples are sorted: compare with the sorted ids outside the block
-        others = (*range(1, block.start), *range(block.stop, total + 1))
-        for v in block:
-            if g.neighbors(v) != others:
-                return False
-    x_rows, y_rows = [], []
-    for v in blocks[0]:
-        r = _bits_label(g.label(v), n)
-        if r is None:
-            return False
-        x_rows.append(r)
-    for v in blocks[3]:
-        r = _bits_label(g.label(v), n)
-        if r is None:
-            return False
-        y_rows.append(r)
-    for v in chain(blocks[1], blocks[2]):
-        if not g.label(v).is_blank:
-            return False
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if x_rows[i - 1][j - 1] == "1" and y_rows[j - 1][i - 1] == "1":
-                return False
-    return True
+    labels = [g.labels[v] for v in g.nodes]
+    x_rows = [_bits_label(lab, n) for lab in labels[:n]]
+    y_rows = [_bits_label(lab, n) for lab in labels[3 * n :]]
+    if None in x_rows or None in y_rows:
+        return False
+    if labels[n : 3 * n] != [Label.blank()] * (2 * n):
+        return False
+    # X row by row against Y column by column: bit i*n + j is x[i][j], y[j][i]
+    return not int("".join(x_rows), 2) & int("".join(map("".join, zip(*y_rows))), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -877,92 +877,96 @@ class DisjEdgeStarProtocol(Protocol):
 # disjointness on a complete 4-partite graph — schedule [C, C]
 
 
+class _Disj4Plan(NamedTuple):
+    """What one node of a block does, fixed by (n, block): its expected
+    neighbours; whether it holds a row (first and last block) or relays (the
+    middle blocks); whom it sends one bit each (in round 1 if it holds a row;
+    in round 2 if it relays, and those nodes send one bit back for decide);
+    and, for a relay, whose one-bit messages it collects in round 2."""
+
+    neighbors: tuple[int, ...]
+    holds_row: bool
+    sends: tuple[int, ...]
+    reads: tuple[int, ...]
+
+
 @lru_cache(maxsize=32)
-def _other_blocks(n: int, block: int) -> tuple[int, ...]:
-    """The sorted ids of the three blocks of size n other than `block`."""
-    return tuple(v for v in range(1, 4 * n + 1) if (v - 1) // n != block)
+def _disj4_plan(n: int, block: int) -> _Disj4Plan:
+    ids = [tuple(range(q * n + 1, (q + 1) * n + 1)) for q in range(4)]
+    neighbors = tuple(v for q in range(4) if q != block for v in ids[q])
+    if block == 0:  # row i of X, bit by bit, to the second block
+        return _Disj4Plan(neighbors, True, ids[1], ())
+    if block == 3:  # row j of Y, bit by bit, to the third block
+        return _Disj4Plan(neighbors, True, ids[2], ())
+    if block == 1:  # column j of X; x[i][j] to the i-th node of the third block
+        return _Disj4Plan(neighbors, False, ids[2], ids[0])
+    # the i-slice of Y; y[j][i] to the j-th node of the second block
+    return _Disj4Plan(neighbors, False, ids[1], ids[3])
+
+
+def _one_bit_column(inbox: Inbox, senders: tuple[int, ...]) -> str | None:
+    """The one-bit payloads of `senders`, in order, as one string; None if a
+    sender is silent or sent other than one bit. Other senders are ignored."""
+    got = dict(inbox)
+    col = ""
+    for s in senders:
+        bit = got.get(s)
+        if bit not in ("0", "1"):
+            return None
+        col += bit
+    return col
 
 
 class Disj4PartiteProtocol(Protocol):
     """Two capped routing rounds over canonical id blocks: the first block
     spreads its rows bit-by-bit across the second block, the fourth across the
     third; the middle blocks then trade those bits pairwise so each can check
-    its slice of the crossing condition."""
+    its slice of the crossing condition.
+
+    A node's state is None once it has seen a malformed instance or inbox
+    (it then stays silent and rejects), else (plan, bits): its row, or for a
+    relay the column it collected (None before round 2)."""
 
     def init(self, view: NodeView):
         total = view.n
         n = total // 4 if total % 4 == 0 else 0
         me = view.node
-        block = (me - 1) // n if n and me <= 4 * n else -1
-        ok = n >= 1 and block >= 0 and view.neighbors == _other_blocks(n, block)
+        if not n or me > total:
+            return None
+        plan = _disj4_plan(n, (me - 1) // n)
+        if view.neighbors != plan.neighbors:
+            return None
         lab = view.label
-        if ok:
-            if block in (0, 3):
-                ok = lab.kind == BITS_KIND and len(lab.bits) == n
-            else:
-                ok = lab.is_blank
-        return {
-            "view": view,
-            "n": n,
-            "block": block,
-            "ok": ok,
-            "row": lab.bits if ok and block in (0, 3) else None,
-            "col": None,
-        }
+        if not plan.holds_row:
+            return (plan, None) if lab.is_blank else None
+        if lab.kind != BITS_KIND or len(lab.bits) != n:
+            return None
+        return plan, lab.bits
 
     def round(self, state, index, kind, inbox):
-        if not state["ok"]:
-            return state, {}
-        n, block, me = state["n"], state["block"], state["view"].node
+        if state is None:
+            return None, {}
+        plan, bits = state
+        if plan.holds_row:
+            return state, dict(zip(plan.sends, bits)) if index == 1 else {}
         if index == 1:
-            if block == 0:
-                return state, {n + t: state["row"][t - 1] for t in range(1, n + 1)}
-            if block == 3:
-                return state, {2 * n + t: state["row"][t - 1] for t in range(1, n + 1)}
             return state, {}
-        # round 2: middle blocks relay what they collected
-        got = dict(inbox)
-        if block == 1:
-            senders = list(range(1, n + 1))
-        elif block == 2:
-            senders = list(range(3 * n + 1, 4 * n + 1))
-        else:
-            return state, {}
-        col = []
-        for s in senders:
-            bit = got.get(s)
-            if bit not in ("0", "1"):
-                state["ok"] = False
-                return state, {}
-            col.append(bit)
-        state["col"] = col
-        if block == 1:
-            # holds column j of X; hand x[i][j] to the i-th node of block 3
-            return state, {2 * n + i: col[i - 1] for i in range(1, n + 1)}
-        # block 2 holds the i-slice of Y; hand y[j][i] to the j-th node of block 2
-        return state, {n + j: col[j - 1] for j in range(1, n + 1)}
+        # round 2: relay what was collected
+        col = _one_bit_column(inbox, plan.reads)
+        if col is None:
+            return None, {}
+        return (plan, col), dict(zip(plan.sends, col))
 
     def decide(self, state, inbox):
-        if not state["ok"]:
+        if state is None:
             return False
-        n, block = state["n"], state["block"]
-        if block in (0, 3):
+        plan, col = state
+        if plan.holds_row:
             return True
-        got = dict(inbox)
-        if block == 1:
-            senders = list(range(2 * n + 1, 3 * n + 1))
-        else:
-            senders = list(range(n + 1, 2 * n + 1))
-        incoming = []
-        for s in senders:
-            bit = got.get(s)
-            if bit not in ("0", "1"):
-                return False
-            incoming.append(bit)
-        col = state["col"]
-        if col is None:
+        if col is None:  # no round 2 ran
             return False
-        return not any(a == "1" and b == "1" for a, b in zip(col, incoming))
+        incoming = _one_bit_column(inbox, plan.sends)
+        return incoming is not None and not int(col, 2) & int(incoming, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,19 @@ def test_is_bits():
     assert not is_bits(None)
 
 
+@pytest.mark.parametrize("tail", ["", "01" * 20])
+@pytest.mark.parametrize("bad", ["0_1", " 01", "01\n", "\uff10\uff11", "0\u0661", "\ud800"])
+def test_is_bits_rejects_non_bit_characters_at_every_length(bad, tail):
+    assert is_bits(tail) and is_bits(tail + "01")
+    assert not is_bits(tail + bad)
+    assert not is_bits(bad + tail)
+
+
+@pytest.mark.parametrize("value", [None, 7, b"01", b"01" * 20, bytearray(b"01"), ["0", "1"]])
+def test_is_bits_rejects_non_str(value):
+    assert not is_bits(value)
+
+
 def test_encode_int_fixed_width():
     assert encode_int(5, 4) == "0101"
     assert encode_int(0, 3) == "000"

@@ -1,8 +1,12 @@
+import inspect
+import pickle
+
 import pytest
 
 from artifact._rng import Tape
 from artifact.engine import (
     BandwidthViolationError,
+    NodeView,
     Protocol,
     ProtocolContractError,
     RoundKind,
@@ -12,7 +16,7 @@ from artifact.engine import (
     run,
     schedule_cost,
 )
-from artifact.graphs import clique_graph, enumerate_small_instances, path_graph
+from artifact.graphs import Label, clique_graph, enumerate_small_instances, path_graph
 from artifact.protocols import proto_registry, protocol_ids
 
 
@@ -285,6 +289,32 @@ def test_make_views_exposes_local_information_only():
     # nodes of one run draw from different tapes
     _, transcript = run(Coin(), g, Schedule.parse("B"), seed=5)
     assert len({e.payload for e in transcript.events}) == 3
+
+
+def test_node_view_is_an_immutable_value():
+    view = make_views(path_graph(3), seed=5)[2]
+    assert list(inspect.signature(NodeView).parameters) == [
+        "node", "n", "big_n", "neighbors", "label", "seed",
+    ]
+    assert view == NodeView(2, 3, 3, (1, 3), Label.blank(), 5)
+    with pytest.raises(AttributeError):
+        view.node = 1
+    assert pickle.loads(pickle.dumps(view)) == view
+
+
+# payloads every round kind refuses, short and longer than 32 characters
+NON_BITS = ["0_1", " 01", "01\n", "\uff10\uff11", "0\u0661"]
+NON_BITS += ["01" * 20 + bad for bad in NON_BITS] + ["01" * 20 + "2" + "01" * 20]
+NON_STR = [None, 7, b"01", b"01" * 20, ["0", "1"]]
+
+
+@pytest.mark.parametrize("kind", "BLC")
+@pytest.mark.parametrize("payload", NON_BITS + NON_STR)
+def test_non_bit_payloads_rejected_at_every_length(payload, kind):
+    sched = Schedule.parse(f"{kind},{kind}", bandwidth=lambda n: 100)
+    with pytest.raises(ProtocolContractError) as err:
+        run(Faulty(_each(payload)), clique_graph(4), sched)
+    assert str(err.value) == f"round 2: node 3 produced a non-bit payload {payload!r}"
 
 
 def test_transcript_serialization():

@@ -6,7 +6,7 @@ import pytest
 
 from artifact import protocols
 from artifact._bits import id_width
-from artifact.engine import Schedule, run
+from artifact.engine import Protocol, Schedule, run
 from artifact.graphs import (
     Label,
     LabeledGraph,
@@ -185,6 +185,54 @@ def test_disj_4partite_verdicts():
     ).accept
 
 
+class _Disj4Fault(Protocol):
+    """disj-4partite's protocol, except that in round `index` node `sender`
+    sends `payload` to node `to` (None: sends it nothing)."""
+
+    def __init__(self, index, sender, to, payload):
+        self.inner = proto_registry("disj-4partite").protocol
+        self.fault = index, sender, to, payload
+
+    def init(self, view):
+        return view.node, self.inner.init(view)
+
+    def round(self, state, index, kind, inbox):
+        me, inner = state
+        inner, out = self.inner.round(inner, index, kind, inbox)
+        at, sender, to, payload = self.fault
+        if (index, me) == (at, sender):
+            out = {u: bits for u, bits in out.items() if u != to}
+            if payload is not None:
+                out[to] = payload
+        return (me, inner), out
+
+    def decide(self, state, inbox):
+        return self.inner.decide(state[1], inbox)
+
+
+# fault -> (round, sender, receiver, payload, schedule) and the verdict and
+# rejectors pinned on the protocol that read its inbox through dict(inbox);
+# on rows X = (10, 01), Y = (01, 10) with blocks {1,2}, {3,4}, {5,6}, {7,8}
+DISJ4_FAULTS = {
+    "round-1 sender missing": ((1, 1, 3, None, "C,C"), (False, (3, 5, 6))),
+    "round-2 sender missing": ((2, 3, 5, None, "C,C"), (False, (5,))),
+    "empty payload": ((1, 8, 6, "", "C,C"), (False, (3, 4, 6))),
+    "two-bit payload": ((2, 6, 4, "11", "C,C"), (False, (4,))),
+    "round-1 extra sender": ((1, 7, 3, "1", "C,C"), (True, ())),
+    "round-2 extra sender": ((2, 1, 5, "1", "C,C"), (True, ())),
+    "no round-2 column": ((0, 0, 0, None, "C"), (False, (3, 4, 5, 6))),
+}
+
+
+@pytest.mark.parametrize("fault", list(DISJ4_FAULTS))
+def test_disj_4partite_malformed_inboxes(fault):
+    (index, sender, to, payload, schedule), want = DISJ4_FAULTS[fault]
+    g = build_disj_4partite(["10", "01"], ["01", "10"])
+    protocol = _Disj4Fault(index, sender, to, payload)
+    verdict = run(protocol, g, Schedule.parse(schedule)).verdict
+    assert (verdict.accept, verdict.rejectors) == want
+
+
 def test_disj_on_edge_verdicts():
     assert outcome("disj-on-edge", build_disj_on_edge(3, "101", "010")).accept
     assert not outcome("disj-on-edge", build_disj_on_edge(3, "110", "011")).accept
@@ -291,8 +339,10 @@ def test_reconstruct_path_single_node():
 # suite before its wire idioms were merged; the k-pclp rows were re-pinned
 # when the mute endpoint began to broadcast its domain size (one more id-width
 # field of B bits per run, no verdict or rejector changed); the normalized-tomdf
-# row was pinned when node views stopped carrying a random tape, with the
-# verdicts and rejectors of the tree before that change
+# row, whose L rounds ship pickled node views, was re-pinned when views
+# stopped carrying a random tape and again when they became named tuples
+# (mean L bits over all_graphs(n <= 4): 11,870, 8,481, then 6,601), each time
+# with the verdicts and rejectors unchanged (VERDICT_DIGESTS)
 RUN_DIGESTS = {
     ("one-marked-edge", 4): "c9e6fa5fe24df5f261fa3c1e86850bf832836f56a4ded72c79ce8a4ba2b2bc6f",
     ("xor-index-path", 3): "b91040fb6906eaa4496bfc429367b087754507dbe988625ffcd9460cfae48901",
@@ -308,7 +358,27 @@ RUN_DIGESTS = {
     ("k-pclp:k=3", 4): "8cfe6b6cbac6846a96bf71342286287c90aff812135632345d1cb12b2a451031",
     ("tomdf-bcc", 4): "6311962969e8746c4d13db182565f01e2602c515c3d404694e72a3a0c82e5b83",
     ("triangle-freeness-via-tomdf", 4): "194c7cc2584b31d339bec316b060f9ae01dc5916019749ddd095fb74a13d765b",
-    ("normalized-tomdf", 4): "b74678b811cfb8ee31312033feb4e75050104ef4cdb9997ab9a7a45590ba5ffa",
+    ("normalized-tomdf", 4): "d0a4ca6babf06697b4736a84067f2e5aeb3d332299dac7ff585b02606e3527f1",
+}
+
+# the same rows' verdicts and rejectors alone, with no bit count: a change of
+# wire format that keeps every verdict leaves these unchanged
+VERDICT_DIGESTS = {
+    ("one-marked-edge", 4): "3f7d880b4b3a560db2b026105ea7f33fc4db89d17ea0cbfb90ea6b352e7f03c6",
+    ("xor-index-path", 3): "f0ad27c7c848a2b9b6f69a0bb67e9a807008a6e72de1e21db09a51a3858d5e7b",
+    ("tomdf", 5): "ac284b8eae86a52424cf941902dc59751bb68a22a6c53c77149e8d43e09b1a42",
+    ("disj-on-clique", 3): "c634829be785f1b1a031764a84f4454fe76a4812b58c57551c3de4ec18273b17",
+    ("special-disjointness", 3): "22caeaeb756e2ef459c78f8148c20f925dfdd57a444551b44c56f29b61e998ca",
+    ("disj-on-edge", 4): "d6d34fcf3ade0ed823bb12487bc4e6a73c1bf417e79a5a43e4f9f4bba336e869",
+    ("disj-on-path", 4): "d6d34fcf3ade0ed823bb12487bc4e6a73c1bf417e79a5a43e4f9f4bba336e869",
+    ("disj-edge-star", 4): "fadd4b6bdb731f39cfed5076902902855781d0c4a866f9f64c14f09b98ff5aa9",
+    ("disj-4partite", 2): "6550d656f21d76229498696a0cf8baf1785b90acd47d41f395afb4212c450bc0",
+    ("k-pclp:k=1", 4): "bf99be40ff53c98dc380534fee87da0d1b154f009d60df9194186ff3400c7e32",
+    ("k-pclp:k=2", 4): "37a66467b6862158e459a87a1664e429320f4a2288e6dc89f951cc383e1aa19e",
+    ("k-pclp:k=3", 4): "68698884899e0e779d143c7e08e8c2faf2233f7454bd11d243fe7a55ea584920",
+    ("tomdf-bcc", 4): "ab2bfbe6327577191b5ac943da73e9330097d6a180ddee4ef822a6f3a254d164",
+    ("triangle-freeness-via-tomdf", 4): "d460afb320ec3e2cd5a499ceaed99da76fff79f580bfe2a7ff37f39f480228b9",
+    ("normalized-tomdf", 4): "ab2bfbe6327577191b5ac943da73e9330097d6a180ddee4ef822a6f3a254d164",
 }
 
 
@@ -326,27 +396,29 @@ _ALL_GRAPHS_ROWS = {
 }
 
 
-def _digest(runs) -> str:
-    """sha256 over each (protocol, graph) run's verdict, rejectors and bits."""
-    h = hashlib.sha256()
+def _digests(runs) -> tuple[str, str]:
+    """Two sha256s over the (protocol, graph) runs: one over each run's
+    verdict, rejectors and bits, one over its verdict and rejectors alone."""
+    full, verdicts = hashlib.sha256(), hashlib.sha256()
     for named, g in runs:
         verdict, t = run(named.protocol, g, named.schedule, record=False)
-        outcome = (verdict.accept, verdict.rejectors, t.totals, max(t.max_bits.values()))
-        h.update(repr(outcome).encode())
-    return h.hexdigest()
+        outcome = (verdict.accept, verdict.rejectors)
+        verdicts.update(repr(outcome).encode())
+        full.update(repr((*outcome, t.totals, max(t.max_bits.values()))).encode())
+    return full.hexdigest(), verdicts.hexdigest()
 
 
-def _run_digest(row: str, size: int) -> str:
+def _run_digests(row: str, size: int) -> tuple[str, str]:
     if row in _ALL_GRAPHS_ROWS:
         build = _ALL_GRAPHS_ROWS[row]
-        return _digest((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
+        return _digests((build(n), g) for n in range(1, size + 1) for g in all_graphs(n))
     named = proto_registry(row)
-    return _digest((named, g) for g in enumerate_small_instances(named.family, size))
+    return _digests((named, g) for g in enumerate_small_instances(named.family, size))
 
 
 @pytest.mark.parametrize("row,size", list(RUN_DIGESTS))
 def test_run_digests_are_pinned(row, size):
-    assert _run_digest(row, size) == RUN_DIGESTS[row, size]
+    assert _run_digests(row, size) == (RUN_DIGESTS[row, size], VERDICT_DIGESTS[row, size])
 
 
 # large instances, where one node's work grows with the path: seeded
@@ -462,7 +534,7 @@ LARGE_RUN_DIGESTS = {
 def test_large_run_digests_are_pinned(row, n):
     named = proto_registry(row)
     instances = _LARGE_INSTANCES[named.family](n, named.language)
-    assert _digest((named, g) for g in instances) == LARGE_RUN_DIGESTS[row, n]
+    assert _digests((named, g) for g in instances)[0] == LARGE_RUN_DIGESTS[row, n]
 
 
 # ---------------------------------------------------------------------------
