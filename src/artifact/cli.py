@@ -14,8 +14,9 @@ or from the generator mini-language, e.g.::
     k-pclp:n=2,f_a=0.1,f_b=1.0   pointer map halves, entry t.v maps t to v
 
 Positional segments and param=value pairs may be mixed; list-valued params
-join their items with '+'.  Commands that run the engine (`simulate`,
-`verify`, `reduce`) take `--seed`, default 0.
+join their items with '+'.  No command takes a run seed: every suite
+protocol is deterministic, and the seed is an engine-level hook
+(`engine.run(seed=)`) for a randomized protocol.
 """
 
 from __future__ import annotations
@@ -175,13 +176,12 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     named = proto_registry(ns.protocol)
     graph = _load_instance(ns)
     schedule = _resolve_schedule(named, ns)
-    result = run(named.protocol, graph, schedule, seed=ns.seed)
+    result = run(named.protocol, graph, schedule, record=ns.transcript is not None)
     verdict = result.verdict
     report = {
         "protocol": named.name,
         "schedule": schedule.text,
         "n": graph.n,
-        "seed": ns.seed,
         "accept": verdict.accept,
         "rejectors": list(verdict.rejectors),
         "bits": result.transcript.totals,
@@ -200,7 +200,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     any_bad = False
     lines = []
     for name in ns.only or protocol_ids():
-        result = sweep(name, ns.max_n, seed=ns.seed)
+        result = sweep(name, ns.max_n)
         line = f"{result.name}: {result.agree}/{result.total} agree"
         if result.counterexample is not None:
             any_bad = True
@@ -222,9 +222,7 @@ def cmd_reduce(ns: argparse.Namespace) -> int:
     accounted = (
         frozenset(nodes) if ns.accounted == "all" else parse_node_set(ns.accounted, nodes)
     )
-    report, _ = cut_communication(
-        named, graph, CutConfig(alice, bob, accounted), seed=ns.seed
-    )
+    report, _ = cut_communication(named, graph, CutConfig(alice, bob, accounted))
     blob = {
         "protocol": named.name,
         "alice_to_bob": list(report.alice_to_bob),
@@ -291,10 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False, protocol=False, instance=False):
+    def add_common(p, protocol=False, instance=False):
         p.add_argument("--out", help="write the report here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         if protocol:
             p.add_argument("--protocol", required=True,
                            help=f"one of: {', '.join(protocol_ids())}")
@@ -303,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", help="path to a JSON instance file")
 
     p = sub.add_parser("simulate", help="run one protocol on one instance")
-    add_common(p, seed=True, protocol=True, instance=True)
+    add_common(p, protocol=True, instance=True)
     p.add_argument("--schedule", help="override round kinds, e.g. B,L or B^3")
     p.add_argument("--bandwidth", type=int, help="override the per-round bit cap")
     p.add_argument("--transcript", help="also write the transcript here")
@@ -311,14 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transcript format (default csv)")
 
     p = sub.add_parser("verify", help="protocol-vs-oracle exhaustive sweep")
-    add_common(p, seed=True)
+    add_common(p)
     p.add_argument("--max-n", type=int, default=3, dest="max_n",
                    help="sweep each family up to this size (default 3)")
     p.add_argument("--only", action="append",
                    help="restrict to this protocol id (repeatable)")
 
     p = sub.add_parser("reduce", help="meter cut communication of a run")
-    add_common(p, seed=True, protocol=True, instance=True)
+    add_common(p, protocol=True, instance=True)
     p.add_argument("--alice", required=True, help="node list, e.g. 1-4,9")
     p.add_argument("--bob", help="node list (default: the rest)")
     p.add_argument("--accounted", default="all", help="node list or 'all'")

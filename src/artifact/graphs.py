@@ -176,6 +176,11 @@ class LabeledGraph:
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGraph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, since
+        # restoring slots one by one would go through __setattr__
+        return LabeledGraph, (self.nodes, self.edges, self.labels)
+
     @property
     def n(self) -> int:
         return len(self.nodes)

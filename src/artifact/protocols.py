@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from types import MappingProxyType
 from typing import Container, Mapping, NamedTuple, Sequence
 
@@ -43,6 +43,9 @@ from .graphs import (
     PAIR_KIND,
     Label,
     LabeledGraph,
+    build_disj_on_edge,
+    build_disj_on_path,
+    build_special_disjointness,
     decode_pointer_map,
     enumerate_small_instances,
 )
@@ -80,6 +83,21 @@ def _records(inbox: Inbox) -> dict[int, object]:
         except Exception:
             records[sender] = None
     return records
+
+
+@lru_cache(maxsize=64)
+def _local_views(build, n: int, key) -> frozenset:
+    """Every local view in the well-formed gadget `build(n, "0"*n, "0"*n)`:
+    a node's (degree, key(label)) paired with the sorted (degree, key(label))
+    profile of its neighbours. A node of an instance passes the structure
+    check when its own pair is one of these; the inputs' values never change
+    a key, so all-zero inputs stand for every instance of size n."""
+    g = build(n, "0" * n, "0" * n)
+
+    def view(v):
+        return len(g.neighbors(v)), key(g.label(v))
+
+    return frozenset((view(v), tuple(sorted(map(view, g.neighbors(v))))) for v in g.nodes)
 
 
 def tomdf_holds_at(mine: Sequence[int], delta: int, adj: Mapping[int, Container[int]]) -> bool:
@@ -537,7 +555,7 @@ def kpclp_round1_structure(inbox: Inbox, w: int):
 
 
 def _spd_shape(lab: Label) -> tuple:
-    """Label classification for the spine/pendant/filler case split."""
+    """Label classification: spine position, pendant, filler or other."""
     if lab.kind != PAIR_KIND:
         return ("other",)
     if lab.bits is None and lab.index in (1, 2, 3):
@@ -553,12 +571,15 @@ def _spd_shape(lab: Label) -> tuple:
 
 class SpecialDisjointnessProtocol(Protocol):
     """Structure check by a one-round neighborhood exchange (degree + label
-    shape case split), plus the input relay: the first spine node evaluates
-    disjointness of the two pendant vectors and sends the bit inward, while
-    the stated bit travels from the far spine node two hops to meet it."""
+    shape, matched against the gadget `build_special_disjointness` makes),
+    plus the input relay: the first spine node evaluates disjointness of the
+    two pendant vectors and sends the bit inward, while the stated bit
+    travels from the far spine node two hops to meet it."""
+
+    _build = partial(build_special_disjointness, b="0")
 
     def init(self, view: NodeView):
-        return {"view": view, "shape": _spd_shape(view.label), "records": None}
+        return {"view": view, "shape": _spd_shape(view.label), "records": {}}
 
     def round(self, state, index, kind, inbox):
         view: NodeView = state["view"]
@@ -590,55 +611,15 @@ class SpecialDisjointnessProtocol(Protocol):
                 out[spine2[0]] = b_vals[0]
         return state, out
 
-    @staticmethod
-    def _match(records, want: list[tuple[int | None, tuple]]) -> bool:
-        """Exact matching of neighbor records against (degree, shape) slots;
-        a None degree is a wildcard."""
-        recs = list(records.values())
-        if len(recs) != len(want) or any(r is None for r in recs):
-            return False
-        got = sorted(((r["deg"], r["shape"]) for r in recs), key=repr)
-        want_sorted = sorted(want, key=repr)
-        for (gd, gs), (wd, ws) in zip(got, want_sorted):
-            if gs != ws or (wd is not None and gd != wd):
-                return False
-        return True
-
     def _topology_ok(self, state) -> bool:
         view: NodeView = state["view"]
         n = view.n - 6
-        if n < 1:
-            return False
         records = state["records"]
-        deg = len(view.neighbors)
-        shape = state["shape"]
-        if shape == ("spine", 1):
-            return deg == 3 and self._match(
-                records, [(1, ("pendant",)), (1, ("pendant",)), (2, ("spine", 2))]
-            )
-        if shape == ("spine", 2):
-            return deg == 2 and self._match(
-                records, [(3, ("spine", 1)), (2, ("spine", 3))]
-            )
-        if shape == ("spine", 3):
-            return deg == 2 and self._match(
-                records, [(2, ("spine", 2)), (2, ("spine", 4))]
-            )
-        if shape == ("spine", 4):
-            return deg == 2 and self._match(
-                records, [(2, ("spine", 3)), (n, ("filler",))]
-            )
-        if shape == ("pendant",):
-            return deg == 1 and self._match(records, [(3, ("spine", 1))])
-        if shape == ("filler",):
-            if deg == n - 1:
-                want = [(n - 1, ("filler",))] * (n - 2) + [(n, ("filler",))]
-                return self._match(records, want)
-            if deg == n:
-                want = [(n - 1, ("filler",))] * (n - 1) + [(2, ("spine", 4))]
-                return self._match(records, want)
+        if n < 1 or None in records.values():
             return False
-        return False
+        profile = tuple(sorted((r["deg"], r["shape"]) for r in records.values()))
+        own = (len(view.neighbors), state["shape"])
+        return (own, profile) in _local_views(self._build, n, _spd_shape)
 
     def decide(self, state, inbox):
         if not self._topology_ok(state):
@@ -662,26 +643,17 @@ class SpecialDisjointnessProtocol(Protocol):
 # disjointness-on-edge — schedule [L]
 
 
-def _path_views(total: int, labeled_positions: set[int]):
-    """Local views of every position of a path with inputs at the given
-    positions: maps (own_degree, own_labeled) -> set of sorted neighbor
-    (degree, labeled) profiles."""
-    def deg(p):
-        return 1 if p in (0, total - 1) else 2
-
-    views: dict[tuple[int, bool], set[tuple]] = {}
-    for p in range(total):
-        nbrs = [q for q in (p - 1, p + 1) if 0 <= q < total]
-        profile = tuple(sorted((deg(q), q in labeled_positions) for q in nbrs))
-        views.setdefault((deg(p), p in labeled_positions), set()).add(profile)
-    return views
+def _carries_bits(lab: Label) -> bool:
+    return lab.kind == BITS_KIND
 
 
 class DisjOnEdgeProtocol(Protocol):
     """Single unbounded round: everyone ships (degree, label) to its
     neighbors. The two adjacent input holders evaluate disjointness; every
-    node checks that its local view fits some position of the expected
-    labeled path."""
+    node checks that its local view fits some position of the labeled path
+    its family's builder makes."""
+
+    _build = staticmethod(build_disj_on_edge)
 
     def init(self, view: NodeView):
         lab = view.label
@@ -697,22 +669,16 @@ class DisjOnEdgeProtocol(Protocol):
         payload = obj_to_bits(record)
         return state, {u: payload for u in view.neighbors}
 
-    def _labeled_positions(self, total: int) -> set[int]:
-        half = total // 2
-        return {half - 1, half}
-
     def _fits_path(self, state, records) -> bool:
         """Size guard, then: every neighbour's (degree, labeled) record arrived
         and my local view fits some position of the expected labeled path."""
         view: NodeView = state["view"]
         total = view.n
-        if total % 2 or total < 6 or not state["shape_ok"]:
+        if total % 2 or total < 6 or not state["shape_ok"] or None in records.values():
             return False
-        if len(records) != len(view.neighbors) or None in records.values():
-            return False
-        reference = _path_views(total, self._labeled_positions(total))
         profile = tuple(sorted((r["deg"], r["vec"] is not None) for r in records.values()))
-        return profile in reference.get((len(view.neighbors), state["vec"] is not None), ())
+        own = (len(view.neighbors), state["vec"] is not None)
+        return (own, profile) in _local_views(self._build, total // 2, _carries_bits)
 
     def decide(self, state, inbox):
         records = _records(inbox)
@@ -735,9 +701,7 @@ class DisjOnPathProtocol(DisjOnEdgeProtocol):
     learned, giving radius-2 knowledge. The two nodes between the inputs then
     see both vectors and evaluate disjointness."""
 
-    def _labeled_positions(self, total: int) -> set[int]:
-        half = total // 2
-        return {half - 2, half + 1}
+    _build = staticmethod(build_disj_on_path)
 
     def round(self, state, index, kind, inbox):
         view: NodeView = state["view"]
@@ -1065,14 +1029,14 @@ class SweepResult(NamedTuple):
     counterexample: LabeledGraph | None  # first instance where they differ
 
 
-def sweep(name: str, max_n: int, seed: int = 0) -> SweepResult:
+def sweep(name: str, max_n: int) -> SweepResult:
     """Run protocol `name` on every instance of its family up to size max_n
     and count the verdicts that match its language's membership oracle."""
     named = proto_registry(name)
     agree = total = 0
     counterexample = None
     for g in enumerate_small_instances(named.family, max_n):
-        got = run(named.protocol, g, named.schedule, seed=seed, record=False).verdict.accept
+        got = run(named.protocol, g, named.schedule, record=False).verdict.accept
         total += 1
         if got == membership(named.language, g):
             agree += 1

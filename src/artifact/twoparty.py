@@ -382,8 +382,8 @@ class CutReport:
         return sum(self.per_round)
 
 
-def cut_communication(named: NamedProtocol, graph: LabeledGraph, cfg: CutConfig,
-                      seed: int = 0) -> tuple[CutReport, RunResult]:
+def cut_communication(named: NamedProtocol, graph: LabeledGraph,
+                      cfg: CutConfig) -> tuple[CutReport, RunResult]:
     """Replay a run and meter the bits its accounted nodes push over the cut.
 
     Point-to-point messages count when sender and receiver sit on opposite
@@ -395,7 +395,7 @@ def cut_communication(named: NamedProtocol, graph: LabeledGraph, cfg: CutConfig,
         raise ValueError("alice_nodes and bob_nodes must partition the node set")
     if not cfg.accounted_nodes <= nodes:
         raise ValueError("accounted_nodes must be a subset of the node set")
-    result = run(named.protocol, graph, named.schedule, seed=seed, record=True)
+    result = run(named.protocol, graph, named.schedule, record=True)
     rounds = len(named.schedule.kinds)
     a2b = [0] * rounds
     b2a = [0] * rounds

@@ -255,12 +255,16 @@ def test_bound(capsys):
         ["kkt", "--ra", "0.7", "--rb", "0.6", "--seed", "1"],
         ["kkt", "--ra", "0.7", "--rb", "0.6", "--grid-step", "0.05"],
         ["bruteforce", "--n", "1", "--ka", "0", "--kb", "0", "--seed", "1"],
+        ["simulate", "--protocol", "one-marked-edge", "--gen", "path:3", "--seed", "1"],
+        ["verify", "--only", "one-marked-edge", "--max-n", "2", "--seed", "1"],
+        ["reduce", "--protocol", "one-marked-edge", "--gen", "path:3", "--alice", "1",
+         "--seed", "1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2][1:]}",
 )
 def test_commands_refuse_options_they_would_ignore(argv, capsys):
-    # a command that never runs the engine takes no seed, and bound and cost
-    # print to stdout only
+    # no command takes a run seed (every suite protocol is deterministic),
+    # and bound and cost print to stdout only
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

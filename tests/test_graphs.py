@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import product
 
@@ -115,6 +117,23 @@ def test_json_round_trip_random(n, seed):
     back = LabeledGraph.from_json(g.to_json())
     assert back == g
     assert hash(back) == hash(g)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(3), build_disj_4partite(["10", "01"], ["11", "00"])],
+    ids=["path", "disj-4partite"],
+)
+def test_graph_survives_pickle_and_copy(round_trip, g):
+    back = round_trip(g)
+    assert back == g
+    assert hash(back) == hash(g)
+    assert back.adjacency == g.adjacency and back.neighbor_sets == g.neighbor_sets
 
 
 def test_random_graph_is_seed_deterministic():

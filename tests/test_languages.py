@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 
@@ -41,6 +43,7 @@ from artifact.languages import (
     triangle_freeness,
     xor_index_path,
 )
+from artifact import languages
 from artifact.protocols import proto_registry
 
 
@@ -48,6 +51,23 @@ def test_disjoint():
     assert disjoint("10", "01")
     assert not disjoint("11", "01")
     assert disjoint("", "")
+
+
+def test_oracles_import_no_builder_and_no_protocol():
+    # three protocols read their structure checks off the gadget builders;
+    # an oracle that used a builder or a protocol too would agree with them
+    # on a builder defect, and the sweep would no longer show it
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(languages))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    bad = [n for n in names if n.startswith("build_") or "protocols" in n.split(".")]
+    assert not bad
 
 
 def test_path_order():

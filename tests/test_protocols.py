@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 from types import MappingProxyType
 
 import pytest
@@ -24,6 +25,7 @@ from artifact.graphs import (
     enumerate_small_instances,
     marked_path,
     path_graph,
+    random_labeled_graph,
 )
 from artifact.languages import membership, path_order
 from artifact.protocols import (
@@ -535,6 +537,79 @@ def test_large_run_digests_are_pinned(row, n):
     named = proto_registry(row)
     instances = _LARGE_INSTANCES[named.family](n, named.language)
     assert _digests((named, g) for g in instances)[0] == LARGE_RUN_DIGESTS[row, n]
+
+
+# malformed inputs to the three record-exchange protocols, whose structure
+# checks compare each node's neighbourhood with the well-formed gadget
+
+# replacement labels, one of each shape the three protocols tell apart
+_OTHER_LABELS = (
+    Label.blank(),
+    Label.of_bits("01"),
+    Label.of_index(1),
+    Label.of_pair(None, 1),
+    Label.of_pair(None, 2),
+    Label.of_pair(None, 3),
+    Label.of_pair("1", 4),
+    Label.of_pair("01", None),
+    Label.of_pair(None, None),
+)
+_MUTATIONS = ("drop", "add", "relabel", "swap")
+
+
+def _mutant(g, rng, how):
+    """g with one seeded malformation: an edge dropped, an edge added, one
+    label replaced by another shape, or two different labels swapped."""
+    edges, labels = set(g.edges), dict(g.labels)
+    if how == "drop":
+        edges.discard(rng.choice(sorted(edges)))
+    elif how == "add":
+        missing = [e for e in combinations(g.nodes, 2) if e not in g.edges]
+        edges.add(rng.choice(missing))
+    elif how == "relabel":
+        v = rng.choice(g.nodes)
+        labels[v] = rng.choice([lab for lab in _OTHER_LABELS if lab != labels[v]])
+    else:
+        u = rng.choice(g.nodes)
+        v = rng.choice([w for w in g.nodes if labels[w] != labels[u]])
+        labels[u], labels[v] = labels[v], labels[u]
+    return LabeledGraph(g.nodes, edges, labels)
+
+
+_RECORD_EXCHANGE_ROWS = ("special-disjointness", "disj-on-edge", "disj-on-path")
+
+
+def _malformed_runs():
+    """(protocol, graph) runs: 120 seeded instances of each row's family, up
+    to size 3, 4 and 4, each under every mutation, then seeded random labeled
+    graphs under every row."""
+    for row, size in zip(_RECORD_EXCHANGE_ROWS, (3, 4, 4)):
+        named, rng = proto_registry(row), random.Random(row)
+        for g in rng.sample(list(enumerate_small_instances(named.family, size)), 120):
+            for how in _MUTATIONS:
+                yield named, _mutant(g, rng, how)
+    for n in range(1, 14):
+        for s in range(10):
+            g = random_labeled_graph(n, s)
+            for row in _RECORD_EXCHANGE_ROWS:
+                yield proto_registry(row), g
+
+
+# pinned while each structure check was a hand-written copy of its gadget
+MALFORMED_DIGEST = "d150409085d17573d0f726ac0c44c8c75e8027629b13656e9a3542cef23c81df"
+
+
+def test_malformed_record_exchange_digest_is_pinned():
+    assert _digests(_malformed_runs())[0] == MALFORMED_DIGEST
+
+
+def test_special_disjointness_rejects_without_its_capped_round():
+    # a schedule override that drops round 2 leaves every node without
+    # records: each rejects instead of raising
+    named = proto_registry("special-disjointness")
+    g = build_special_disjointness(1, "0", "0", "0")
+    verdict = run(named.protocol, g, Schedule.parse("L"), record=False).verdict
+    assert not verdict.accept and tuple(verdict.rejectors) == g.nodes
 
 
 # ---------------------------------------------------------------------------
