@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sized
 
 from ._bits import SHORT_BITS, is_bits
 from .graphs import Label, LabeledGraph
@@ -249,8 +249,12 @@ def make_views(graph: LabeledGraph, seed: int) -> dict[int, NodeView]:
 
 
 def _non_bit(payload, round_index: int, sender: int) -> ProtocolContractError:
+    shown = repr(payload)
+    if len(shown) > 100:  # a type, a length and a prefix name it well enough
+        size = f" of length {len(payload)}" if isinstance(payload, Sized) else ""
+        shown = f"<{type(payload).__name__}{size}> {shown[:40]}..."
     return ProtocolContractError(
-        f"round {round_index}: node {sender} produced a non-bit payload {payload!r}"
+        f"round {round_index}: node {sender} produced a non-bit payload {shown}"
     )
 
 

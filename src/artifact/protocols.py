@@ -699,7 +699,8 @@ class DisjOnPathProtocol(DisjOnEdgeProtocol):
     """Two unbounded rounds for inputs three hops apart: the first round is
     the same neighborhood exchange; in the second every node relays all it
     learned, giving radius-2 knowledge. The two nodes between the inputs then
-    see both vectors and evaluate disjointness."""
+    see both vectors and evaluate disjointness. Any later round repeats the
+    relay, so a longer all-L schedule reaches the same verdict."""
 
     _build = staticmethod(build_disj_on_path)
 
@@ -707,10 +708,11 @@ class DisjOnPathProtocol(DisjOnEdgeProtocol):
         view: NodeView = state["view"]
         if index == 1:
             return super().round(state, index, kind, inbox)
-        records = state["r1"] = _records(inbox)
-        own = {"deg": len(view.neighbors), "vec": state["vec"]}
-        relay = obj_to_bits({"own": own, "heard": records})
-        return state, {u: relay for u in view.neighbors}
+        if index == 2:
+            records = state["r1"] = _records(inbox)
+            own = {"deg": len(view.neighbors), "vec": state["vec"]}
+            state["relay"] = obj_to_bits({"own": own, "heard": records})
+        return state, {u: state["relay"] for u in view.neighbors}
 
     def decide(self, state, inbox):
         r1 = state.get("r1", {})

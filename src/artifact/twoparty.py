@@ -8,21 +8,27 @@ out_A AND out_B equals it.
 
 Everything here is exact: protocol error probabilities are Fractions computed
 by full enumeration of the input space, and the brute-force search
-enumerates message maps outright while optimizing output tables slice by
-slice — for a fixed pair of message maps the optimal outputs
-decouple across index pairs (i, j), and within a slice Bob's best reply to a
-fixed Alice table is a per-entry greedy choice.  That keeps the candidate
-space honest (it is counted before searching) without giving up exactness.
+enumerates message maps while optimizing output tables slice by slice —
+for a fixed pair of message maps the optimal outputs decouple across index
+pairs (i, j), and within a slice Bob's best reply to a fixed Alice table is a
+per-entry greedy choice.  That keeps the candidate space honest (it is
+counted before searching) without giving up exactness.
 
 A slice splits further into cells (mb, ma): Alice's entry a[x, mb] meets only
 the ys Bob maps to mb, and only through his reply to the group of xs Alice
-maps to ma.  Inside a cell a y matters only through its bit y_i, so each of
-the group's 2^|group| bit vectors is scored against two counts, one per value
-of y_i, instead of once per y.  The minimisers of a slice are the product of
-the cells' minimisers over disjoint keys, so the cell-wise lexicographically
-first ones assemble into the table a full enumeration of Alice's slice tables
-would keep: error, witness and table order are those of that enumeration.
-Slice results are memoised by value within one search.
+maps to ma.  Inside a cell a y matters only through its bit y_i, and a bit
+vector over the group only through its Hamming distance d from the group's
+x_j bits, so each d is scored once against two counts, one per value of y_i.
+The minimisers of a slice are the product of the cells' minimisers over
+disjoint keys, so the cell-wise lexicographically first ones assemble into
+the table a full enumeration of Alice's slice tables would keep: error,
+witness and table order are those of that enumeration.
+
+The search ranks candidates by slice error counts alone, memoised by value,
+and builds tables only for the n² slices of the winner.  For a fixed Bob
+map, slice (i, j) meets Alice's map only through her row i (her messages at
+index i), so each row is minimised on its own; the witness is the first
+minimiser in (Alice map, Bob map) order, the one a loop over pairs keeps.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from ._bits import encode_int, is_bits
 from .engine import RunResult, run
@@ -165,16 +171,6 @@ def eval_protocol_error(protocol: OneRoundProtocol, n: int) -> Fraction:
 # exhaustive minimum-error search
 
 
-def _map_candidates(inputs: Sequence, space: Sequence[str], pin_first: bool):
-    """All functions inputs -> space, optionally pinning the first input to
-    space[0] (message-relabeling symmetry: any protocol can be renamed so the
-    lexicographically first input sends the all-zero message)."""
-    if pin_first and len(space) > 1:
-        tail = itertools.product(space, repeat=len(inputs) - 1)
-        return ((space[0],) + rest for rest in tail)
-    return itertools.product(space, repeat=len(inputs))
-
-
 def _candidate_count(n: int, k_a: int, k_b: int) -> int:
     n_inputs = (1 << n) * n
     m_a, m_b = 1 << k_a, 1 << k_b
@@ -184,6 +180,16 @@ def _candidate_count(n: int, k_a: int, k_b: int) -> int:
     return pairs_a * pairs_b * n * n * subtables
 
 
+def _first_at_distance(targets: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Lexicographically first bit vector at Hamming distance d from
+    ``targets``: a 0 wherever the flips still owed fit the positions left."""
+    bits = []
+    for left, t in zip(range(len(targets) - 1, -1, -1), targets):
+        bits.append(0 if 0 <= d - t <= left else 1)
+        d -= bits[-1] != t
+    return tuple(bits)
+
+
 def _cell_best(targets: tuple[int, ...], n0: int, n1: int):
     """Lexicographically first minimiser of one cell's error count.
 
@@ -191,17 +197,35 @@ def _cell_best(targets: tuple[int, ...], n0: int, n1: int):
     count the cell's ys with y_i = 0/1.  For a bit vector a over the group at
     Hamming distance d from ``targets`` (ones = sum(targets)), Bob's output 0
     errs on ones tuples of a y with y_i = 0 and output 1 on d of them; for
-    y_i = 1 the counts are size - ones and size - d.  Returns the error
-    count, the bits, and Bob's reply per value of y_i (1 on ties).
+    y_i = 1 the counts are size - ones and size - d.  The count depends on d
+    alone, so each d is scored once and the answer is the first vector at any
+    minimising distance.  Returns the error count, the bits, and Bob's reply
+    per value of y_i (1 on ties).
     """
     size, ones = len(targets), sum(targets)
-    best = None
-    for bits in itertools.product((0, 1), repeat=size):
-        d = sum(b != t for b, t in zip(bits, targets))
-        cost = n0 * min(ones, d) + n1 * min(size - ones, size - d)
-        if best is None or cost < best[0]:
-            best = (cost, bits, (int(d <= ones), int(d >= ones)))
-    return best
+    costs = [n0 * min(ones, d) + n1 * min(size - ones, size - d) for d in range(size + 1)]
+    cost = min(costs)
+    bits, d = min(
+        (_first_at_distance(targets, d), d) for d in range(size + 1) if costs[d] == cost
+    )
+    return cost, bits, (int(d <= ones), int(d >= ones))
+
+
+def _slice_bad(xs, i, j, a_row, b_row) -> int:
+    """Error count of the tables ``_slice_best`` builds for one (i, j) slice,
+    given the messages over xs.  A cell's count is concave in d, so its
+    minimum is at d = 0 or d = size: min(n1 * zeros, n0 * ones)."""
+    groups: dict[str, list[int]] = {}
+    for x, ma in zip(xs, a_row):
+        groups.setdefault(ma, [0, 0])[int(x[j - 1])] += 1
+    counts: dict[str, list[int]] = {}
+    for y, mb in zip(xs, b_row):
+        counts.setdefault(mb, [0, 0])[int(y[i - 1])] += 1
+    return sum(
+        min(n1 * zeros, n0 * ones)
+        for n0, n1 in counts.values()
+        for zeros, ones in groups.values()
+    )
 
 
 def _slice_best(xs, i, j, a_msg_of, b_msg_of):
@@ -282,46 +306,59 @@ def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRound
     inputs = [(x, i) for x in xs for i in range(1, n + 1)]
     space_a = _bit_strings(k_a) if k_a else [""]
     space_b = _bit_strings(k_b) if k_b else [""]
-    # slice results keyed by value: (i, j, Alice's messages over xs at index
-    # i, Bob's messages over ys at index j); many candidate pairs share slices
-    memo: dict[tuple, tuple] = {}
-    best_bad = None
+    # Alice's row i lists her messages over xs at index i; message relabeling
+    # pins the first input's message, the first entry of row 1, to space_a[0]
+    pinned = [(space_a[0],) + t for t in itertools.product(space_a, repeat=len(xs) - 1)]
+    rows = list(itertools.product(space_a, repeat=len(xs))) if n > 1 else []
+    rows_of = [pinned] + [rows] * (n - 1)
+    # slice scores keyed by (i, j, Bob's row j), one per row of rows_of[i - 1]
+    scores: dict[tuple, list[int]] = {}
     best = None
-    for a_vals in _map_candidates(inputs, space_a, pin_first=True):
-        # inputs are x-major, so a_rows[i - 1] lists Alice's messages over xs at i
-        a_rows = [a_vals[i::n] for i in range(n)]
-        for b_vals in _map_candidates(inputs, space_b, pin_first=False):
-            b_rows = [b_vals[j::n] for j in range(n)]
-            bad = 0
-            slices = []
-            for i, a_row in enumerate(a_rows, 1):
-                for j, b_row in enumerate(b_rows, 1):
-                    key = (i, j, a_row, b_row)
-                    found = memo.get(key)
-                    if found is None:
-                        found = memo[key] = _slice_best(
-                            xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row))
-                        )
-                    bad += found[0]
-                    slices.append((i, j, found))
-            if best_bad is None or bad < best_bad:
-                best_bad = bad
-                best = (a_vals, b_vals, slices)
-    a_vals, b_vals, slices = best
+    for b_vals in itertools.product(space_b, repeat=len(inputs)):
+        # inputs are x-major, so b_rows[j - 1] lists Bob's messages over ys at j
+        b_rows = [b_vals[j::n] for j in range(n)]
+        bad = 0
+        a_rows = []
+        # for a fixed Bob map the rows of Alice's map add up independently, and
+        # each row's first minimiser makes the first minimising map
+        for i, i_rows in enumerate(rows_of, 1):
+            per_j = []
+            for j, b_row in enumerate(b_rows, 1):
+                found = scores.get((i, j, b_row))
+                if found is None:
+                    found = scores[i, j, b_row] = [
+                        _slice_bad(xs, i, j, a_row, b_row) for a_row in i_rows
+                    ]
+                per_j.append(found)
+            costs = [sum(c) for c in zip(*per_j)]
+            low = min(costs)
+            bad += low
+            a_rows.append(i_rows[costs.index(low)])
+        a_vals = tuple(m for column in zip(*a_rows) for m in column)
+        # the first minimiser in (Alice map, Bob map) candidate order
+        if best is None or (bad, a_vals) < best[:2]:
+            best = (bad, a_vals, b_vals)
+    best_bad, a_vals, b_vals = best
     a_map = dict(zip(inputs, a_vals))
     b_map = dict(zip(inputs, b_vals))
     a_out: dict[tuple, int] = {}
     b_out: dict[tuple, int] = {}
-    for i, j, (_, a_tab, b_tab) in slices:
-        for (x, mb), bit in a_tab.items():
-            a_out[x, i, mb, j] = bit
-        for (y, ma), bit in b_tab.items():
-            b_out[y, j, ma, i] = bit
+    table_bad = 0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            bad, a_tab, b_tab = _slice_best(
+                xs, i, j, {x: a_map[x, i] for x in xs}, {y: b_map[y, j] for y in xs}
+            )
+            table_bad += bad
+            for (x, mb), bit in a_tab.items():
+                a_out[x, i, mb, j] = bit
+            for (y, ma), bit in b_tab.items():
+                b_out[y, j, ma, i] = bit
     witness = _table_protocol(n, k_a, k_b, a_map, b_map, a_out, b_out)
     error = Fraction(best_bad, ((1 << n) * n) ** 2)
     check = eval_protocol_error(witness, n)
-    if check != error:
-        raise AssertionError(f"witness re-evaluation {check} != search minimum {error}")
+    if check != error or table_bad != best_bad:
+        raise AssertionError(f"witness {check}, tables {table_bad} != minimum {error}, {best_bad}")
     return error, witness
 
 

@@ -53,6 +53,21 @@ def test_simulate_bandwidth_override_fails_loudly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_long_non_bit_payload_error_is_short(capsys):
+    # round 1 is broadcast but the protocol returns its neighbour dict of
+    # several hundred bits per entry
+    code = main(
+        [
+            "simulate", "--protocol", "special-disjointness",
+            "--gen", "special-disjointness:n=1,x=0,y=0,b=0", "--schedule", "B",
+        ]
+    )
+    assert code == 2
+    line = capsys.readouterr().err.strip()
+    assert "\n" not in line and len(line) < 200
+    assert "round 1: node 1 produced a non-bit payload <dict of length 3>" in line
+
+
 def test_simulate_schedule_override(capsys):
     code = main(
         [
@@ -223,6 +238,22 @@ def test_bruteforce_two_bit_budget_at_n2(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.strip() == "0/1"
     assert json.loads(out.read_text())["min_error"] == "0/1"
+
+
+def test_bruteforce_output_does_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    written = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / f"search-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "artifact", "bruteforce",
+             "--n", "2", "--ka", "1", "--kb", "0", "--out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        written[seed] = out.read_bytes()
+    assert written["0"] == written["12345"]
+    assert json.loads(written["0"])["min_error"] == "1/8"
 
 
 def test_kkt_csv(capsys):

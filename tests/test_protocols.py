@@ -1,13 +1,13 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from types import MappingProxyType
 
 import pytest
 
 from artifact import protocols
 from artifact._bits import id_width
-from artifact.engine import Protocol, Schedule, run
+from artifact.engine import EngineError, Protocol, Schedule, run
 from artifact.graphs import (
     Label,
     LabeledGraph,
@@ -16,6 +16,7 @@ from artifact.graphs import (
     build_disj_edge_star,
     build_disj_on_clique,
     build_disj_on_edge,
+    build_disj_on_path,
     build_kpclp_path,
     build_special_disjointness,
     build_xor_index_path,
@@ -610,6 +611,32 @@ def test_special_disjointness_rejects_without_its_capped_round():
     g = build_special_disjointness(1, "0", "0", "0")
     verdict = run(named.protocol, g, Schedule.parse("L"), record=False).verdict
     assert not verdict.accept and tuple(verdict.rejectors) == g.nodes
+
+
+def test_disj_on_path_longer_schedules_repeat_the_relay():
+    # rounds after the second resend the relay: the verdict of its own L^2
+    named = proto_registry("disj-on-path")
+    for x, y, accept in (("100", "010", True), ("110", "010", False)):
+        g = build_disj_on_path(3, x, y)
+        for text in ("L^2", "L^3", "L^4"):
+            verdict = run(named.protocol, g, Schedule.parse(text), record=False).verdict
+            assert verdict.accept is accept, (x, y, text)
+
+
+@pytest.mark.parametrize("text", ["L,L,L", "B,B,B", "C,C,C"])
+@pytest.mark.parametrize("row", protocol_ids())
+def test_three_round_overrides_return_or_raise_engine_errors(row, text):
+    # up to 200 instances spread over the family's enumeration, up to size 3
+    # where that has at most 1,000 (size 2 for disj-4partite's 262,404)
+    named = proto_registry(row)
+    schedule = Schedule.parse(text, bandwidth=named.schedule.bandwidth)
+    size = 3 if count_instances(named.family, 3) <= 1000 else 2
+    step = max(1, count_instances(named.family, size) // 200)
+    for g in islice(enumerate_small_instances(named.family, size), 0, None, step):
+        try:
+            run(named.protocol, g, schedule, record=False)
+        except EngineError:
+            pass
 
 
 # ---------------------------------------------------------------------------

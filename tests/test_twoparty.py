@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,27 @@ def _slice_best_enumerated(xs, i, j, a_msg_of, b_msg_of):
     return best
 
 
+def _cell_best_enumerated(targets, n0, n1):
+    """Reference: scores every bit vector over the cell's Alice group and
+    keeps the first with the least error count."""
+    size, ones = len(targets), sum(targets)
+    best = None
+    for bits in itertools.product((0, 1), repeat=size):
+        d = sum(b != t for b, t in zip(bits, targets))
+        cost = n0 * min(ones, d) + n1 * min(size - ones, size - d)
+        if best is None or cost < best[0]:
+            best = (cost, bits, (int(d <= ones), int(d >= ones)))
+    return best
+
+
+def test_cell_best_matches_enumeration():
+    for size in range(8):
+        for targets in itertools.product((0, 1), repeat=size):
+            for n0, n1 in itertools.product(range(3), repeat=2):
+                got = twoparty._cell_best(targets, n0, n1)
+                assert got == _cell_best_enumerated(targets, n0, n1), (targets, n0, n1)
+
+
 def _size_id(size):
     return "n{}-ka{}-kb{}".format(*size)
 
@@ -177,6 +199,10 @@ def test_slice_best_matches_full_enumeration(n):
             assert _as_items(new) == _as_items(old), (a_msg_of, b_msg_of, i, j)
 
 
+def _slice_bad_enumerated(xs, i, j, a_row, b_row):
+    return _slice_best_enumerated(xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row)))[0]
+
+
 @pytest.mark.parametrize(
     "size",
     [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 2), (2, 0, 0), (2, 1, 0), (3, 0, 0)],
@@ -185,10 +211,81 @@ def test_slice_best_matches_full_enumeration(n):
 def test_bruteforce_json_same_under_full_enumeration(size, monkeypatch):
     error, witness = bruteforce_min_error(*size)
     fast = search_result_json(*size, error, witness)
+    # both the slice error counts the search ranks by and the tables it
+    # builds for the winner come from the enumerating reference
+    monkeypatch.setattr(twoparty, "_slice_bad", _slice_bad_enumerated)
     monkeypatch.setattr(twoparty, "_slice_best", _slice_best_enumerated)
     error_ref, witness_ref = bruteforce_min_error(*size)
     assert error == error_ref
     assert fast == search_result_json(*size, error_ref, witness_ref)
+
+
+def _bruteforce_pairs(n, k_a, k_b):
+    """Reference: the search that scores every (Alice map, Bob map) pair, with
+    Alice's first input pinned to the all-zero message, and keeps the first
+    pair with the least error count."""
+    xs = ["".join(t) for t in itertools.product("01", repeat=n)]
+    inputs = [(x, i) for x in xs for i in range(1, n + 1)]
+    space_a = ["".join(t) for t in itertools.product("01", repeat=k_a)]
+    space_b = ["".join(t) for t in itertools.product("01", repeat=k_b)]
+    memo = {}
+    best_bad = best = None
+    for rest in itertools.product(space_a, repeat=len(inputs) - 1):
+        a_vals = (space_a[0],) + rest
+        a_rows = [a_vals[i::n] for i in range(n)]
+        for b_vals in itertools.product(space_b, repeat=len(inputs)):
+            b_rows = [b_vals[j::n] for j in range(n)]
+            bad = 0
+            slices = []
+            for i, a_row in enumerate(a_rows, 1):
+                for j, b_row in enumerate(b_rows, 1):
+                    key = (i, j, a_row, b_row)
+                    found = memo.get(key)
+                    if found is None:
+                        found = memo[key] = twoparty._slice_best(
+                            xs, i, j, dict(zip(xs, a_row)), dict(zip(xs, b_row))
+                        )
+                    bad += found[0]
+                    slices.append((i, j, found))
+            if best_bad is None or bad < best_bad:
+                best_bad = bad
+                best = (a_vals, b_vals, slices)
+    a_vals, b_vals, slices = best
+    a_out, b_out = {}, {}
+    for i, j, (_, a_tab, b_tab) in slices:
+        for (x, mb), bit in a_tab.items():
+            a_out[x, i, mb, j] = bit
+        for (y, ma), bit in b_tab.items():
+            b_out[y, j, ma, i] = bit
+    witness = twoparty._table_protocol(
+        n, k_a, k_b, dict(zip(inputs, a_vals)), dict(zip(inputs, b_vals)), a_out, b_out
+    )
+    return Fraction(best_bad, (len(xs) * n) ** 2), witness
+
+
+@pytest.mark.parametrize(
+    "size",
+    [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 2),
+     (2, 0, 0), (2, 1, 0), (2, 0, 1), (2, 1, 1), (3, 0, 0)],
+    ids=_size_id,
+)
+def test_bruteforce_json_same_as_pair_enumeration(size):
+    fast = search_result_json(*size, *bruteforce_min_error(*size))
+    assert fast == search_result_json(*size, *_bruteforce_pairs(*size))
+
+
+def test_bruteforce_wide_alice_alphabet_stays_small():
+    # at n = 1 Alice's row 1 is her whole map: only its 2^k_a pinned rows may
+    # be built, not all 2^(2 k_a) rows
+    size = (1, 10, 0)
+    tracemalloc.start()
+    try:
+        fast = search_result_json(*size, *bruteforce_min_error(*size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert fast == search_result_json(*size, *_bruteforce_pairs(*size))
 
 
 # sha256 of search_result_json as written by the search that enumerated every
