@@ -3,7 +3,10 @@
 Every protocol here is deterministic and is exhaustively tested for verdict
 agreement against its language oracle over enumerated instance families
 (`sweep`). All of them treat malformed instances by rejecting at (at least)
-the node that detects the problem — never by raising.
+the node that detects the problem — never by raising, as long as the ids fit
+the bandwidth: xor-index-path and k-pclp frame ids in round-1 broadcasts and
+raise BandwidthViolationError in round 1 once ids spread far past [1, n]
+(LabeledGraph admits ids up to n^3).
 
 Wire conventions: integers are framed at fixed widths (node ids at the id
 wire width of the run, id-1 in max(1, ceil(log2 N)) bits); degree fields use
@@ -85,6 +88,16 @@ def _records(inbox: Inbox) -> dict[int, object]:
     return records
 
 
+def decode_counts(inbox: Inbox, width: int) -> dict[int, int] | None:
+    """Each sender's `width`-bit count; None if any message has another width."""
+    counts = {}
+    for sender, msg in inbox:
+        if len(msg) != width:
+            return None
+        counts[sender] = decode_int(msg)
+    return counts
+
+
 @lru_cache(maxsize=64)
 def _local_views(build, n: int, key) -> frozenset:
     """Every local view in the well-formed gadget `build(n, "0"*n, "0"*n)`:
@@ -139,13 +152,8 @@ class OneMarkedEdgeProtocol(Protocol):
     def decide(self, state, inbox):
         if not state["ok"]:
             return False
-        wc = _count_width(state["n"])
-        total = 0
-        for _, msg in inbox:
-            if len(msg) != wc:
-                return False
-            total += decode_int(msg)
-        return total == 2
+        counts = decode_counts(inbox, _count_width(state["n"]))
+        return counts is not None and sum(counts.values()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +165,24 @@ class XorIndexPathProtocol(Protocol):
     all nodes rebuild the path and reject on any structural violation. In the
     capped round the two nodes beside the center each send one input bit —
     selected by the far endpoint's index — and the center accepts iff the two
-    bits differ."""
+    bits differ.
+
+    Ids must fit the bandwidth: on an odd path of 5 or more nodes each round-1
+    broadcast takes 3 + 2 * ceil(log2 N) bits against a cap of 4 * ceil(log2 n)."""
 
     def init(self, view: NodeView):
         return {
             "view": view,
             "w": id_width(view.big_n),
-            "tiny": view.n < 5 or view.n % 2 == 0,
             "global_ok": True,
             "self_ok": True,
-            "center": False,
-            "expect": None,  # (left arm node, right arm node) when center
+            "expect": None,  # (left arm node, right arm node) at the center
         }
 
     def _broadcast(self, state) -> str:
         view: NodeView = state["view"]
         w = state["w"]
-        if state["tiny"]:
+        if view.n < 5 or view.n % 2 == 0:
             return "0"
         deg = len(view.neighbors)
         if deg not in (1, 2):
@@ -201,7 +210,7 @@ class XorIndexPathProtocol(Protocol):
         if index == 1:
             return state, self._broadcast(state)
         # index 2 (capped round): inbox holds every round-1 broadcast
-        path = None if state["tiny"] else xor_path_structure(tuple(inbox), state["w"])
+        path = xor_path_structure(tuple(inbox), state["w"])
         if path is None:
             state["global_ok"] = False
             return state, {}
@@ -215,7 +224,6 @@ class XorIndexPathProtocol(Protocol):
             state["self_ok"] = lab.is_blank
         out: dict[int, str] = {}
         if pos == half:
-            state["center"] = True
             state["expect"] = (order[half - 1], order[half + 1])
         elif pos == half - 1 and state["self_ok"]:
             # my far extremity is the other arm's endpoint
@@ -227,13 +235,11 @@ class XorIndexPathProtocol(Protocol):
     def decide(self, state, inbox):
         if not (state["global_ok"] and state["self_ok"]):
             return False
-        if not state["center"]:
+        if state["expect"] is None:
             return True
         got = dict(inbox)
         left, right = state["expect"]
         if set(got) != {left, right}:
-            return False
-        if len(got[left]) != 1 or len(got[right]) != 1:
             return False
         return got[left] != got[right]
 
@@ -285,14 +291,11 @@ class TomdfProtocol(Protocol):
         view: NodeView = state["view"]
         if index == 1:
             return state, encode_int(len(view.neighbors), state["wd"])
-        wd = state["wd"]
-        degs = []
-        for _, msg in inbox:
-            if len(msg) != wd:
-                state["bad"] = True
-                return state, {}
-            degs.append(decode_int(msg))
-        state["delta"] = max(degs)
+        degs = decode_counts(inbox, state["wd"])
+        if degs is None:
+            state["bad"] = True
+            return state, {}
+        state["delta"] = max(degs.values())
         listing = encode_ids(view.neighbors, state["w"])
         return state, {u: listing for u in view.neighbors}
 
@@ -356,11 +359,21 @@ class DisjOnCliqueProtocol(Protocol):
 class KPclpProtocol(Protocol):
     """Round 1: everyone broadcasts its neighbor ids; the endpoint holding 0
     also broadcasts the first chase value and its declared domain size, the
-    other endpoint the size of its half of the map. The endpoints then
+    other (mute) endpoint the size of its half of the map. The endpoints then
     alternate broadcasting successive chase values, one per round. Everyone
-    rebuilds the path, checks that it has twice the declared domain size of
-    nodes, tracks the chase, and accepts iff the structure holds,
-    all k values arrived on schedule, and the final value has odd popcount.
+    accepts iff no check failed, k values arrived and the last has odd popcount.
+
+    Each fact is checked once, where it is first seen:
+    - init: an inner label is blank; an endpoint's label decodes (which bounds
+      its keys and values by its declared size), no value in its own domain;
+    - round 1: an endpoint's declared size and half size frame in an id field;
+    - after round 1: the path, with 2 * declared size nodes (every node); the
+      same declared size (mute endpoint); half sizes adding up to it (0-holder);
+    - each send: the value to chase lies in the sender's domain;
+    - decide: k values arrived, which only a schedule of more rounds breaks.
+
+    Ids must fit the bandwidth: the 0-holder's round-1 broadcast takes
+    2 + 3 * ceil(log2 N) bits against a cap of 4 * ceil(log2 n).
 
     Locality note: each endpoint can vet only its own half of the map (plus
     the incoming values landing in its domain); a forged label pair with
@@ -374,146 +387,93 @@ class KPclpProtocol(Protocol):
         self.k = k
 
     def init(self, view: NodeView):
-        state = {
-            "view": view,
-            "w": id_width(view.big_n),
-            "tiny": view.n < 4,
-            "bad": False,        # self-detected violation
-            "struct_bad": False,  # globally visible violation
-            "is_endpoint": len(view.neighbors) == 1,
-            "map": None,
-            "ndom": None,
-            "starts": None,
-            "a_end": None,
-            "b_end": None,
-        }
         lab = view.label
-        if state["is_endpoint"] and lab.kind == BITS_KIND:
+        g = ndom = None
+        if len(view.neighbors) != 1:
+            bad = not lab.is_blank
+        elif lab.kind != BITS_KIND:
+            bad = True
+        else:
             try:
                 g, ndom = decode_pointer_map(lab.bits)
             except ValueError:
-                g, ndom = None, None
-            state["map"], state["ndom"] = g, ndom
-            state["starts"] = g is not None and 0 in g
-        if not state["is_endpoint"] and not lab.is_blank:
-            state["bad"] = True
-        if state["is_endpoint"] and lab.kind != BITS_KIND:
-            state["bad"] = True
-        return state
+                pass
+            bad = g is None or any(val in g for val in g.values())
+        return {
+            "view": view,
+            "w": id_width(view.big_n),
+            "bad": bad,  # self-detected violation
+            "struct_bad": False,  # globally visible violation
+            "map": g,
+            "ndom": ndom,
+            "a_end": None,
+            "b_end": None,
+        }
 
     def _round1_broadcast(self, state) -> str:
         view: NodeView = state["view"]
-        w = state["w"]
-        if state["tiny"]:
-            return "11"
         deg = len(view.neighbors)
-        if deg == 2:
-            return "00" + encode_ids(view.neighbors, w)
-        if deg != 1:
+        if view.n < 4 or deg not in (1, 2):
             return "11"
+        w = state["w"]
         nbr = encode_ids(view.neighbors, w)
+        if deg == 2:
+            return "00" + nbr
         g, ndom = state["map"], state["ndom"]
-        if state["starts"] and ndom <= (1 << w) and g[0] < (1 << w):
+        starts = g is not None and 0 in g
+        if starts and ndom <= 1 << w:
             return "01" + nbr + encode_int(g[0], w) + encode_int(ndom - 1, w)
-        size = len(g) if g is not None else 0
-        if state["starts"] or size >= 1 << w:
+        size = len(g or ())
+        if starts or size >= 1 << w:
             state["bad"], size = True, 0  # undecodable on the wire
         return "10" + nbr + encode_int(size, w)
 
-    def _digest_round1(self, state, inbox):
-        structure = kpclp_round1_structure(tuple(inbox), state["w"])
-        if structure is None:
-            state["struct_bad"] = True
-            return
-        a_end, b_end, v1, ndom_a, size_b = structure
-        view: NodeView = state["view"]
-        if 2 * ndom_a != view.n:
-            state["struct_bad"] = True
-            return
-        state["a_end"], state["b_end"] = a_end, b_end
-        state["chase"] = [v1]
-        if view.node == b_end:
-            # the mute endpoint vets the shared declarations
-            if state["map"] is None or 0 in state["map"] or state["ndom"] != ndom_a:
-                state["bad"] = True
-            elif not all(val not in state["map"] for val in state["map"].values()):
-                state["bad"] = True
-        if view.node == a_end:
-            # the two halves must split the declared domain between them
-            g = state["map"]
-            if not all(val not in g for val in g.values()) or len(g) + size_b != state["ndom"]:
-                state["bad"] = True
-
-    def _digest_eval(self, state, round_completed: int, inbox):
-        """Absorb the broadcasts of round `round_completed` (>= 2)."""
-        if state["struct_bad"]:
-            return
-        expected = state["a_end"] if round_completed % 2 == 1 else state["b_end"]
-        payload = None
-        for sender, msg in inbox:
-            if msg == "":
-                continue
-            if sender != expected or payload is not None:
+    def _digest(self, state, round_completed: int, inbox):
+        """Absorb the broadcasts of round `round_completed`."""
+        if round_completed == 1:
+            view: NodeView = state["view"]
+            structure = kpclp_round1_structure(tuple(inbox), state["w"])
+            if structure is None:
                 state["struct_bad"] = True
                 return
-            payload = msg
-        w = state["w"]
-        if payload is None or len(payload) != w + 1 or payload[0] != "1":
-            state["struct_bad"] = True
+            a_end, b_end, v1, ndom_a, size_b = structure
+            if 2 * ndom_a != view.n:
+                state["struct_bad"] = True
+                return
+            state.update(a_end=a_end, b_end=b_end, chase=[v1])
+            if view.node == b_end:
+                state["bad"] |= state["ndom"] != ndom_a
+            elif view.node == a_end:
+                state["bad"] |= len(state["map"]) + size_b != ndom_a
             return
-        state["chase"].append(decode_int(payload[1:]))
+        if state["struct_bad"]:
+            return
+        expected = state["a_end"] if round_completed % 2 else state["b_end"]
+        sent = {sender: msg for sender, msg in inbox if msg}
+        payload = sent.get(expected, "")
+        if len(sent) != 1 or len(payload) != state["w"] + 1 or payload[0] != "1":
+            state["struct_bad"] = True
+        else:
+            state["chase"].append(decode_int(payload[1:]))
 
     def round(self, state, index, kind, inbox):
         if index == 1:
             return state, self._round1_broadcast(state)
-        if index == 2:
-            self._digest_round1(state, inbox)
-        else:
-            self._digest_eval(state, index - 1, inbox)
-        if state["struct_bad"] or state["tiny"]:
+        self._digest(state, index - 1, inbox)
+        chaser = state["a_end"] if index % 2 else state["b_end"]
+        if state["struct_bad"] or state["view"].node != chaser:
             return state, ""
-        view: NodeView = state["view"]
-        me = view.node
-        active = state["a_end"] if index % 2 == 1 else state["b_end"]
-        if me != active:
-            return state, ""
-        g, ndom, w = state["map"], state["ndom"], state["w"]
-        prev = state["chase"][-1]
-        if state["bad"] or g is None or prev not in g or g[prev] >= (1 << w):
+        g, prev = state["map"], state["chase"][-1]
+        if state["bad"] or prev not in g:
             state["bad"] = True
             return state, "0"
-        val = g[prev]
-        if prev >= ndom or val >= ndom:
-            state["bad"] = True
-            return state, "0"
-        return state, "1" + encode_int(val, w)
+        return state, "1" + encode_int(g[prev], state["w"])
 
     def decide(self, state, inbox):
-        if state["tiny"]:
+        self._digest(state, self.k, inbox)
+        if state["struct_bad"] or state["bad"] or len(state["chase"]) != self.k:
             return False
-        if self.k == 1:
-            self._digest_round1(state, inbox)
-        else:
-            self._digest_eval(state, self.k, inbox)
-        if state["struct_bad"] or state["bad"]:
-            return False
-        chase = state["chase"]
-        if len(chase) != self.k:
-            return False
-        view: NodeView = state["view"]
-        me = view.node
-        # endpoints vet the values that land in their own domain
-        if me in (state["a_end"], state["b_end"]):
-            g, ndom = state["map"], state["ndom"]
-            if g is None or ndom is None:
-                return False
-            mine_turn = 1 if me == state["b_end"] else 0
-            for r, val in enumerate(chase, start=1):
-                if val >= ndom:
-                    return False
-                if r % 2 == mine_turn and r < self.k and val not in g:
-                    return False
-        return bin(chase[-1]).count("1") % 2 == 1
+        return bin(state["chase"][-1]).count("1") % 2 == 1
 
 
 @_last_inbox_memo

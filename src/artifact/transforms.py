@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._bits import count_width as _count_width, decode_int, encode_int
+from ._bits import count_width as _count_width, encode_int
 from ._codec import bits_to_obj, obj_to_bits
 from .engine import (
     NodeView,
@@ -32,7 +32,7 @@ from .engine import (
     Schedule,
     default_bandwidth,
 )
-from .protocols import NamedProtocol, tomdf_holds_at
+from .protocols import NamedProtocol, decode_counts, tomdf_holds_at
 
 
 class UnsupportedScheduleError(ValueError):
@@ -192,12 +192,9 @@ class BroadcastRowDecider(Protocol):
         if index == 1:
             return state, encode_int(len(state["nbrs"]), _count_width(n))
         if index == 2:
-            wd = _count_width(n)
-            degrees = {}
-            for v, msg in inbox:
-                if len(msg) != wd:
-                    return state, ""
-                degrees[v] = decode_int(msg)
+            degrees = decode_counts(inbox, _count_width(n))
+            if degrees is None:
+                return state, ""
             pendants = _pendant_assignment(degrees) if self.pad else dict.fromkeys(degrees, ())
             padded = sorted(set(degrees) | {p for ps in pendants.values() for p in ps})
             state = dict(state, plan=(pendants, tuple(padded)))

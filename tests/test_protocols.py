@@ -7,7 +7,7 @@ import pytest
 
 from artifact import protocols
 from artifact._bits import id_width
-from artifact.engine import EngineError, Protocol, Schedule, run
+from artifact.engine import BandwidthViolationError, EngineError, Protocol, Schedule, run
 from artifact.graphs import (
     Label,
     LabeledGraph,
@@ -263,6 +263,38 @@ def test_small_sweep_matches_oracle(name, max_size):
 def test_every_suite_family_enumerates(named):
     instances = list(enumerate_small_instances(named.family, 2))
     assert len(instances) == count_instances(named.family, 2) > 0
+
+
+def _sparse_ids(g, rng):
+    """g with its ids moved to a seeded sample of [1, n^3], the widest id
+    range LabeledGraph admits."""
+    ids = dict(zip(g.nodes, rng.sample(range(1, g.n**3 + 1), g.n)))
+    return LabeledGraph(
+        ids.values(),
+        [(ids[u], ids[v]) for u, v in g.edges],
+        {ids[v]: lab for v, lab in g.labels.items()},
+    )
+
+
+# the families whose round-1 broadcasts frame two ids of the id width plus a
+# tag, which outgrows 4 * ceil(log2 n) bits once ids spread over [1, n^3]
+_ID_WIDTH_BOUND_FAMILIES = ("xor-index-path", "k-pclp")
+
+
+@pytest.mark.parametrize("row", protocol_ids())
+def test_sparse_ids_agree_or_fail_loudly_in_round_one(row):
+    # every family instance up to size 3 (2 for disj-4partite) under a seeded
+    # relabeling into [1, n^3]: the path rows raise in round 1 on every one
+    named, rng = proto_registry(row), random.Random(row)
+    size = 2 if named.family == "disj-4partite" else 3
+    for g in enumerate_small_instances(named.family, size):
+        g = _sparse_ids(g, rng)
+        if named.family not in _ID_WIDTH_BOUND_FAMILIES:
+            assert run(named.protocol, g, named.schedule).verdict.accept == membership(row, g)
+            continue
+        with pytest.raises(BandwidthViolationError) as caught:
+            run(named.protocol, g, named.schedule)
+        assert caught.value.round_index == 1
 
 
 def test_mark_mutation_flips_with_the_oracle():
@@ -538,6 +570,131 @@ def test_large_run_digests_are_pinned(row, n):
     named = proto_registry(row)
     instances = _LARGE_INSTANCES[named.family](n, named.language)
     assert _digests((named, g) for g in instances)[0] == LARGE_RUN_DIGESTS[row, n]
+
+
+# forged k-pclp paths: 2n nodes whose endpoints carry arbitrary halves, so
+# that each of KPclpProtocol's vetting rules fires somewhere
+
+
+def _forged_ends(rng, n):
+    """Two endpoint labels: the halves of a partition of {0..n-1} (0 on either
+    side, values mostly in the other half, sometimes in their own), each half
+    replaced now and then by random bits or by a random map over a declared
+    size near n (which may hold 0, miss it or overlap the other half)."""
+    tags = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    doms = (tags[:cut], tags[cut:])
+    ends = []
+    for mine, other in (doms, doms[::-1]):
+        draw = rng.random()
+        if draw < 0.15:
+            ends.append(Label.of_bits(format(rng.getrandbits(24), "024b")[: rng.randrange(25)]))
+            continue
+        if draw < 0.35:
+            size = rng.choice((n - 1, n, n + 1))
+            f = {t: rng.randrange(size) for t in range(size) if rng.random() < 0.5}
+        else:
+            size = n
+            f = {t: rng.choice(other if rng.random() < 0.8 else tags) for t in mine}
+        ends.append(Label.of_bits(encode_pointer_map(f, size)))
+    return ends
+
+
+def _forged_kpclp_paths(count, seed):
+    """`count` seeded forged paths of 2n nodes, n = 2..4, with ids from the
+    widest range that keeps the id width of 1..2n; one in ten also labels an
+    inner node."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        ids = rng.sample(range(1, (1 << (2 * n - 1).bit_length()) + 1), 2 * n)
+        head, tail = _forged_ends(rng, n)
+        labels = {0: head, 2 * n - 1: tail}
+        if rng.random() < 0.1:
+            labels[rng.randrange(1, 2 * n - 1)] = Label.of_index(1)
+        yield _path_with(ids, labels)
+
+
+# sha256 over k-pclp:k=1..3 on the same 200 forged paths, pinned before the
+# vetting rules moved to where each fact is first seen
+FORGED_KPCLP_DIGEST = "e73aa3a20975a867a21768b6894ad136a9430558640090d87b6b938721adc3ac"
+
+
+def test_forged_kpclp_digest_is_pinned():
+    paths = list(_forged_kpclp_paths(200, 2024))
+    runs = ((proto_registry(f"k-pclp:k={k}"), g) for k in (1, 2, 3) for g in paths)
+    assert _digests(runs)[0] == FORGED_KPCLP_DIGEST
+
+
+def _kpclp_ends(head, tail, n=4, inner=None):
+    """A 2n-node path 1..2n with the pointer-map halves `head` = (map, declared
+    size) at node 1 and `tail` at node 2n (a bit string stands for itself),
+    and `inner` = (node, label) placed on an inner node."""
+
+    def label(end):
+        return Label.of_bits(end if isinstance(end, str) else encode_pointer_map(*end))
+
+    labels = {1: label(head), 2 * n: label(tail)}
+    if inner is not None:
+        labels[inner[0]] = inner[1]
+    return path_graph(2 * n, labels)
+
+
+# one case per vetting rule on the path 1..8 with n = 4, as (graph, {k:
+# rejectors}), k = 1..3, no entry meaning no rejector. The well-formed halves
+# chase 0 -> 1 -> 2 -> 1, odd popcount each time. An endpoint at fault rejects
+# at once and stops the chase for everyone at its first send (round 2 for
+# node 8, round 3 for node 1)
+_HEAD, _TAIL = ({0: 1, 2: 1}, 4), ({1: 2, 3: 0}, 4)
+_ALL8 = tuple(range(1, 9))
+_MUTE_AT_FAULT = {1: (8,), 2: _ALL8, 3: _ALL8}
+_NO_PATH = {1: _ALL8, 2: _ALL8, 3: _ALL8}
+KPCLP_VETTING_CASES = {
+    "well formed": (_kpclp_ends(_HEAD, _TAIL), {}),
+    # init: an inner node needs a blank label, an endpoint a pointer map with
+    # no value in its own domain; a mute endpoint without a map broadcasts
+    # size 0, so node 1's sizes miss too
+    "inner node labelled": (
+        _kpclp_ends(_HEAD, _TAIL, inner=(3, Label.of_index(1))),
+        {1: (3,), 2: (3,), 3: (3,)},
+    ),
+    "mute label not bits": (
+        _kpclp_ends(_HEAD, _TAIL, inner=(8, Label.of_index(1))),
+        {1: (1, 8), 2: _ALL8, 3: _ALL8},
+    ),
+    "mute label does not decode": (_kpclp_ends(_HEAD, "0000010"), {1: (1, 8), 2: _ALL8, 3: _ALL8}),
+    "0-holder lands in its own half": (
+        _kpclp_ends(({0: 2, 2: 1}, 4), _TAIL),
+        {1: (1,), 2: _ALL8, 3: _ALL8},
+    ),
+    "mute endpoint lands in its own half": (_kpclp_ends(_HEAD, ({1: 2, 3: 1}, 4)), _MUTE_AT_FAULT),
+    # the path itself: one 0-holder, one mute endpoint, a framed declared size
+    "0 on both sides": (_kpclp_ends(_HEAD, ({0: 2, 1: 2, 3: 0}, 4)), _NO_PATH),
+    "0 on neither side": (_kpclp_ends(({2: 1}, 4), _TAIL), _NO_PATH),
+    "declared size does not frame": (_kpclp_ends(({0: 1, 2: 1}, 9), _TAIL), _NO_PATH),
+    # after round 1: one declared size, split between the two halves
+    "declared sizes differ": (_kpclp_ends(_HEAD, ({1: 2, 3: 0}, 5)), _MUTE_AT_FAULT),
+    "sizes miss the declared size": (_kpclp_ends(_HEAD, ({1: 2}, 4)), {1: (1,), 2: (1,), 3: _ALL8}),
+    # at each send: the chase value must be in the sender's domain; with
+    # k = 1 nobody sends, so overlapping halves go unseen (the locality note)
+    "chase leaves the next domain": (_kpclp_ends(_HEAD, ({2: 0, 3: 0}, 4)), {2: _ALL8, 3: _ALL8}),
+}
+
+
+@pytest.mark.parametrize("case", list(KPCLP_VETTING_CASES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_pclp_vetting_rules(case, k):
+    g, want = KPCLP_VETTING_CASES[case]
+    assert outcome(f"k-pclp:k={k}", g).rejectors == want.get(k, ())
+
+
+def test_k_pclp_rejects_a_schedule_longer_than_k():
+    # under B^4 the round-4 chase value reaches k = 2's last digest as a
+    # fourth value with odd popcount (0 -> 1 -> 2 -> 1 -> 2): only the count
+    # of values rejects it
+    g = _kpclp_ends(_HEAD, _TAIL)
+    verdict = run(protocols.KPclpProtocol(2), g, Schedule.parse("B^4"), record=False).verdict
+    assert verdict.rejectors == _ALL8
 
 
 # malformed inputs to the three record-exchange protocols, whose structure
