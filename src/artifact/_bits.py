@@ -1,8 +1,11 @@
 """Bit-string helpers.
 
-All wire payloads in this package are plain Python strings over {'0', '1'},
-most-significant bit first. Integers that ride along (node ids, degrees,
-counters) are framed at fixed widths so receivers can slice deterministically.
+A wire payload is a bit string, given either as a Python string over
+{'0', '1'}, most-significant bit first, or as `bytes`, which count 8 bits per
+byte and read as `bytes_to_bits` spells them (the pickled records of
+unbounded rounds travel this way). Integers that ride along (node ids,
+degrees, counters) are framed at fixed widths so receivers can slice
+deterministically.
 """
 
 from __future__ import annotations
@@ -10,19 +13,9 @@ from __future__ import annotations
 from typing import Iterable
 
 
-# below this many characters `str.strip` is the faster bit check; above it,
-# deleting the bit bytes of the ASCII encoding is, and `strip` walks a long
-# payload one character at a time
-SHORT_BITS = 32
-
-
 def is_bits(s: object) -> bool:
     """True iff *s* is a str containing only '0'/'1' (empty string allowed)."""
-    if not isinstance(s, str):
-        return False
-    if len(s) < SHORT_BITS:
-        return not s.strip("01")
-    return s.isascii() and not s.encode().translate(None, b"01")
+    return isinstance(s, str) and not s.strip("01")
 
 
 def encode_int(value: int, width: int) -> str:
@@ -73,15 +66,8 @@ def decode_ids(bits: str, w: int) -> tuple[int, ...]:
 
 
 def bytes_to_bits(data: bytes) -> str:
+    """The bit string that *data* counts as on the wire: each byte MSB first."""
     if not data:
         return ""
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-
-
-def bits_to_bytes(bits: str) -> bytes:
-    if len(bits) % 8:
-        raise ValueError("bit string length must be a multiple of 8")
-    if not is_bits(bits):
-        raise ValueError("bit string may contain only '0' and '1'")
-    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 

@@ -16,6 +16,12 @@ sorted by sender; sender identity rides free and is not metered. A node that
 sends nothing to some neighbor simply does not appear in that inbox — an
 explicit empty-string message does.
 
+Payload rule, the same for every round kind: a payload is a bit string, given
+either as a ``str`` over {0,1} or as ``bytes``, counted as 8 bits per byte
+(how the pickled records of unbounded rounds travel, see ``_codec``). The
+receiver gets the payload object as sent; a transcript renders bytes as their
+bit string. B and C rounds apply the cap to the counted bits.
+
 The engine draws no randomness: a node's view carries the run seed, and a
 protocol that wants random bits seeds its own per-node generator from
 (view.seed, view.node).
@@ -28,10 +34,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple, Sized
 
-from ._bits import SHORT_BITS, is_bits
+from ._bits import bytes_to_bits
 from .graphs import Label, LabeledGraph
 
-Inbox = tuple[tuple[int, str], ...]
+Inbox = tuple[tuple[int, str | bytes], ...]
 
 
 class RoundKind(Enum):
@@ -156,8 +162,9 @@ class Protocol:
         raise NotImplementedError
 
     def round(self, state, index: int, kind: RoundKind, inbox: Inbox):
-        """Return (new state, outbox). Outbox: for B a single bit string; for
-        L/C a dict neighbor-id -> bit string (missing neighbors stay silent)."""
+        """Return (new state, outbox). Outbox: for B a single payload; for
+        L/C a dict neighbor-id -> payload (missing neighbors stay silent). A
+        payload is a str over {0,1} or bytes (module docstring)."""
         raise NotImplementedError
 
     def decide(self, state, inbox: Inbox) -> bool:
@@ -171,7 +178,7 @@ class TranscriptEvent:
     sender: int
     receiver: int | None  # None = broadcast to all
     bits: int
-    payload: str
+    payload: str | bytes
 
 
 class Transcript:
@@ -202,7 +209,9 @@ class Transcript:
                         "sender": e.sender,
                         "receiver": e.receiver,
                         "bits": e.bits,
-                        "payload": e.payload,
+                        "payload": e.payload
+                        if isinstance(e.payload, str)
+                        else bytes_to_bits(e.payload),
                     }
                     for e in self.events
                 ],
@@ -291,51 +300,44 @@ def run(
             outs.append(result[1])
 
         kind_char = kind.value
+        broadcast = kind is RoundKind.BCC
+        limit = None if kind is RoundKind.LOCAL else bw
+        buckets: dict[int, list[tuple[int, str | bytes]]] = {v: [] for v in nodes}
         bits = top = 0
-        if kind is RoundKind.BCC:
-            for v, payload in zip(nodes, outs):
-                if not isinstance(payload, str) or (
-                    payload.strip("01")
-                    if (size := len(payload)) < SHORT_BITS
-                    else not is_bits(payload)
-                ):
+        for v, outbox, nbrs in zip(nodes, outs, nbr_sets):
+            if broadcast:
+                sent = ((None, outbox),)  # one message, to every node
+            elif isinstance(outbox, dict):
+                sent = outbox.items()
+            else:
+                raise ProtocolContractError(
+                    f"round {round_index}: node {v} must return a neighbor->bits dict"
+                )
+            for u, payload in sent:
+                if u not in nbrs and not broadcast:
+                    raise ProtocolContractError(
+                        f"round {round_index}: node {v} addressed non-neighbor {u}"
+                    )
+                # the payload rule (module docstring), for every round kind
+                if isinstance(payload, str) and not payload.strip("01"):
+                    size = len(payload)
+                elif isinstance(payload, bytes):
+                    size = len(payload) << 3
+                else:
                     raise _non_bit(payload, round_index, v)
-                if size > bw:
-                    raise BandwidthViolationError(round_index, v, size, bw)
+                if limit is not None and size > limit:
+                    raise BandwidthViolationError(round_index, v, size, limit)
                 bits += size
                 if size > top:
                     top = size
                 if record:
-                    events.append(TranscriptEvent(round_index, "B", v, None, size, payload))
+                    events.append(TranscriptEvent(round_index, kind_char, v, u, size, payload))
+                if not broadcast:
+                    buckets[u].append((v, payload))
+        if broadcast:
             shared: Inbox = tuple(zip(nodes, outs))
             inboxes = [shared] * len(nodes)
         else:
-            capped = kind is RoundKind.CONGEST
-            buckets: dict[int, list[tuple[int, str]]] = {v: [] for v in nodes}
-            for v, outbox, nbrs in zip(nodes, outs, nbr_sets):
-                if not isinstance(outbox, dict):
-                    raise ProtocolContractError(
-                        f"round {round_index}: node {v} must return a neighbor->bits dict"
-                    )
-                for u, payload in outbox.items():
-                    if u not in nbrs:
-                        raise ProtocolContractError(
-                            f"round {round_index}: node {v} addressed non-neighbor {u}"
-                        )
-                    if not isinstance(payload, str) or (
-                        payload.strip("01")
-                        if (size := len(payload)) < SHORT_BITS
-                        else not is_bits(payload)
-                    ):
-                        raise _non_bit(payload, round_index, v)
-                    if capped and size > bw:
-                        raise BandwidthViolationError(round_index, v, size, bw)
-                    bits += size
-                    if size > top:
-                        top = size
-                    if record:
-                        events.append(TranscriptEvent(round_index, kind_char, v, u, size, payload))
-                    buckets[u].append((v, payload))
             # senders ran in id order and name each receiver once: already sorted
             inboxes = [tuple(bucket) for bucket in buckets.values()]
         totals[kind_char] += bits

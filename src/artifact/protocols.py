@@ -11,9 +11,9 @@ raise BandwidthViolationError in round 1 once ids spread far past [1, n]
 Wire conventions: integers are framed at fixed widths (node ids at the id
 wire width of the run, id-1 in max(1, ceil(log2 N)) bits); degree fields use
 a 2-bit code (00/01/10 for degrees 0/1/2, 11 for anything larger); unbounded
-local rounds ship records pickled without a memo (`_codec`), framed as bit
-strings, so a payload depends only on the record's value, never on which
-sub-objects it shares.
+local rounds ship records pickled without a memo (`_codec`) as `bytes`
+payloads, which the engine counts at 8 bits per byte, so a payload depends
+only on the record's value, never on which sub-objects it shares.
 
 Decoding that depends only on a shared broadcast inbox, not on the node
 reading it, happens once per round: it is a pure function of the inbox's
@@ -38,7 +38,7 @@ from ._bits import (
     encode_int,
     id_width,
 )
-from ._codec import bits_to_obj, obj_to_bits
+from ._codec import bytes_to_obj, obj_to_bytes
 from .engine import Inbox, NodeView, Protocol, RoundKind, Schedule, default_bandwidth, run
 from .graphs import (
     BITS_KIND,
@@ -82,7 +82,7 @@ def _records(inbox: Inbox) -> dict[int, object]:
     records = {}
     for sender, msg in inbox:
         try:
-            records[sender] = bits_to_obj(msg)
+            records[sender] = bytes_to_obj(msg)
         except Exception:
             records[sender] = None
     return records
@@ -144,6 +144,9 @@ class OneMarkedEdgeProtocol(Protocol):
     def round(self, state, index, kind, inbox):
         if index == 1:
             return state, {u: state["bit"] for u in state["nbrs"]}
+        if index > 2:
+            # past round 2 the inbox holds counts, not marks: reject
+            state["ok"] = False
         count = 0
         if state["ok"] and state["bit"] == "1":
             count = sum(1 for _, msg in inbox if msg == "1")
@@ -291,8 +294,9 @@ class TomdfProtocol(Protocol):
         view: NodeView = state["view"]
         if index == 1:
             return state, encode_int(len(view.neighbors), state["wd"])
-        degs = decode_counts(inbox, state["wd"])
-        if degs is None:
+        # only round 2 reads round-1 degrees; an empty inbox names no maximum
+        degs = decode_counts(inbox, state["wd"]) if index == 2 else None
+        if not degs:
             state["bad"] = True
             return state, {}
         state["delta"] = max(degs.values())
@@ -550,7 +554,7 @@ class SpecialDisjointnessProtocol(Protocol):
                 "vec": view.label.bits if state["shape"] == ("pendant",) else None,
                 "b": view.label.bits if state["shape"] == ("spine", 4) else None,
             }
-            payload = obj_to_bits(record)
+            payload = obj_to_bytes(record)
             return state, {u: payload for u in view.neighbors}
         records = state["records"] = _records(inbox)
         out: dict[int, str] = {}
@@ -626,7 +630,7 @@ class DisjOnEdgeProtocol(Protocol):
     def round(self, state, index, kind, inbox):
         view: NodeView = state["view"]
         record = {"deg": len(view.neighbors), "vec": state["vec"]}
-        payload = obj_to_bits(record)
+        payload = obj_to_bytes(record)
         return state, {u: payload for u in view.neighbors}
 
     def _fits_path(self, state, records) -> bool:
@@ -671,7 +675,7 @@ class DisjOnPathProtocol(DisjOnEdgeProtocol):
         if index == 2:
             records = state["r1"] = _records(inbox)
             own = {"deg": len(view.neighbors), "vec": state["vec"]}
-            state["relay"] = obj_to_bits({"own": own, "heard": records})
+            state["relay"] = obj_to_bytes({"own": own, "heard": records})
         return state, {u: state["relay"] for u in view.neighbors}
 
     def decide(self, state, inbox):
@@ -771,7 +775,7 @@ class DisjEdgeStarProtocol(Protocol):
         state["vec"] = "".join(v for v in vec if v is not None) if ok else None
         state["cohub"] = silent[0] if len(silent) == 1 else None
         record = {"hub": True, "deg": len(view.neighbors), "vec": state["vec"]}
-        payload = obj_to_bits(record)
+        payload = obj_to_bytes(record)
         return state, {u: payload for u in view.neighbors}
 
     def decide(self, state, inbox):
@@ -929,7 +933,7 @@ class FullStateStressProtocol(Protocol):
             return state, {
                 u: self._digest(state, f"c{u}")[:cap] for u in state["nbrs"]
             }
-        return state, {u: obj_to_bits((state, u)) for u in state["nbrs"]}
+        return state, {u: obj_to_bytes((state, u)) for u in state["nbrs"]}
 
     def decide(self, state, inbox):
         return self._digest(dict(state, trail=state["trail"] + [tuple(inbox)]), "d")[0] == "1"

@@ -14,7 +14,7 @@ its whole pre-round state (and pending deliveries) to its neighbors, then
 everyone replays the displaced rounds of every neighbor locally. Verdicts are
 preserved exactly because the replay feeds the inner protocol byte-identical
 inboxes: the state codec (`_codec`) depends on values only, so a decoded
-neighbor state re-encodes to the bits it was sent as. The swap costs one
+neighbor state re-encodes to the bytes it was sent as. The swap costs one
 round of full-state traffic, which an unbounded round permits.
 """
 
@@ -24,7 +24,7 @@ import math
 from typing import Callable
 
 from ._bits import count_width as _count_width, encode_int
-from ._codec import bits_to_obj, obj_to_bits
+from ._codec import bytes_to_obj, obj_to_bytes
 from .engine import (
     NodeView,
     Protocol,
@@ -79,11 +79,11 @@ class _SwappedProtocol(Protocol):
             return dict(state, inner=inner_state), out
         if index == t:
             # the new unbounded round: ship full state + pending deliveries
-            payload = obj_to_bits((state["inner"], inbox))
+            payload = obj_to_bytes((state["inner"], inbox))
             return dict(state, stash=inbox), {u: payload for u in state["nbrs"]}
         if index == t + 1:
             # the displaced broadcast, computed from the stashed inbox
-            payloads = {u: bits_to_obj(msg) for u, msg in inbox}
+            payloads = {u: bytes_to_obj(msg) for u, msg in inbox}
             state_t, out_b = self.inner.round(
                 state["inner"], t, RoundKind.BCC, state["stash"]
             )

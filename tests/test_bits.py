@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact._bits import (
-    bits_to_bytes,
     bytes_to_bits,
     count_width,
     decode_ids,
@@ -78,20 +77,8 @@ def test_id_round_trip():
         decode_ids("0101", 3)
 
 
-def test_bytes_round_trip():
-    data = bytes(range(7))
-    assert bits_to_bytes(bytes_to_bits(data)) == data
-
-
 @given(st.binary(max_size=64))
 def test_bytes_to_bits_is_bytewise_msb_first(data):
     bits = bytes_to_bits(data)
     assert bits == "".join(format(b, "08b") for b in data)
-    assert bits_to_bytes(bits) == data
-
-
-def test_bits_to_bytes_rejects_non_bits():
-    for bad in ("0000000", "0_000000", " 0000000", "+0000000", "0000000x"):
-        with pytest.raises(ValueError):
-            bits_to_bytes(bad)
 

@@ -333,3 +333,21 @@ def test_verify_output_does_not_depend_on_the_hash_seed():
             env=env, capture_output=True, check=True,
         ).stdout
         assert hashlib.md5(out).hexdigest() == "6322a6ef602899fbf08fe42fba42e60a", seed
+
+
+def test_transcript_file_does_not_depend_on_the_hash_seed(tmp_path):
+    # L records travel as pickled bytes; the file shows them as bit strings
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    written = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / f"t-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "artifact", "simulate", "--protocol", "disj-on-path",
+             "--gen", "disj-on-path:n=3,x=101,y=010",
+             "--transcript", str(out), "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        written[seed] = out.read_bytes()
+    assert written["0"] == written["12345"]
+    assert hashlib.md5(written["0"]).hexdigest() == "2eaad1f9c7803575df35a3952a97bb98"

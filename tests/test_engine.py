@@ -1,4 +1,5 @@
 import inspect
+import json
 import pickle
 
 import pytest
@@ -222,6 +223,7 @@ CONTRACT_FAULTS = {
     "bad round() return": ("BLC", lambda state, out: state, ProtocolContractError,
                            "round() must return (state, outbox)"),
     "bandwidth": ("BC", _each("11111"), BandwidthViolationError, "sent 5 bits (limit 4)"),
+    "bytes over the cap": ("BC", _each(b"\x00"), BandwidthViolationError, "sent 8 bits (limit 4)"),
 }
 
 
@@ -251,8 +253,9 @@ def test_recording_modes_agree(row):
         assert full.final_inboxes == lean.final_inboxes
         assert lean.transcript.events == []
         sums, tops = {"L": 0, "B": 0, "C": 0}, {"L": 0, "B": 0, "C": 0}
-        for e in full.transcript.events:
-            assert e.bits == len(e.payload)
+        rendered = json.loads(full.transcript.to_json())["events"]
+        for e, shown in zip(full.transcript.events, rendered, strict=True):
+            assert e.bits == len(shown["payload"])
             sums[e.kind] += e.bits
             tops[e.kind] = max(tops[e.kind], e.bits)
         assert sums == full.transcript.totals
@@ -305,7 +308,7 @@ def test_node_view_is_an_immutable_value():
 # payloads every round kind refuses, short and longer than 32 characters
 NON_BITS = ["0_1", " 01", "01\n", "\uff10\uff11", "0\u0661"]
 NON_BITS += ["01" * 20 + bad for bad in NON_BITS] + ["01" * 20 + "2" + "01" * 20]
-NON_STR = [None, 7, b"01", b"01" * 20, ["0", "1"]]
+NON_STR = [None, 7, bytearray(b"01"), ["0", "1"]]
 
 
 @pytest.mark.parametrize("kind", "BLC")
@@ -324,3 +327,16 @@ def test_transcript_serialization():
     assert "2,B,1,,1" in csv
     json_text = result.transcript.to_json()
     assert '"totals"' in json_text
+
+
+@pytest.mark.parametrize("kind", "BLC")
+def test_bytes_payload_counts_eight_bits_per_byte(kind):
+    payload = b"\x00\xa5"
+    result = run(Echo(payload), path_graph(2), Schedule.parse(kind, bandwidth=lambda n: 16))
+    transcript = result.transcript
+    assert transcript.totals[kind] == 2 * 16 and transcript.max_bits[kind] == 16
+    assert all(e.bits == 16 and e.payload is payload for e in transcript.events)
+    # the receiver gets the bytes object; the transcript shows its bit string
+    assert all(msg is payload for inbox in result.final_inboxes.values() for _, msg in inbox)
+    shown = {e["payload"] for e in json.loads(transcript.to_json())["events"]}
+    assert shown == {"0000000010100101"}

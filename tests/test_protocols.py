@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from types import MappingProxyType
 
 import pytest
@@ -780,15 +780,19 @@ def test_disj_on_path_longer_schedules_repeat_the_relay():
             assert verdict.accept is accept, (x, y, text)
 
 
-@pytest.mark.parametrize("text", ["L,L,L", "B,B,B", "C,C,C"])
+# every {L,C,B} schedule of one to three rounds
+SHORT_SCHEDULES = [",".join(kinds) for m in (1, 2, 3) for kinds in product("LCB", repeat=m)]
+
+
+@pytest.mark.parametrize("text", SHORT_SCHEDULES)
 @pytest.mark.parametrize("row", protocol_ids())
 def test_three_round_overrides_return_or_raise_engine_errors(row, text):
-    # up to 200 instances spread over the family's enumeration, up to size 3
+    # about 30 instances spread over the family's enumeration, up to size 3
     # where that has at most 1,000 (size 2 for disj-4partite's 262,404)
     named = proto_registry(row)
     schedule = Schedule.parse(text, bandwidth=named.schedule.bandwidth)
     size = 3 if count_instances(named.family, 3) <= 1000 else 2
-    step = max(1, count_instances(named.family, size) // 200)
+    step = max(1, count_instances(named.family, size) // 30)
     for g in islice(enumerate_small_instances(named.family, size), 0, None, step):
         try:
             run(named.protocol, g, schedule, record=False)
