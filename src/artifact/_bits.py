@@ -35,6 +35,13 @@ def decode_int(bits: str) -> int:
     return int(bits, 2)
 
 
+def bit_strings(width: int) -> list[str]:
+    """Every bit string of the given width, in lexicographic order."""
+    if width == 0:
+        return [""]
+    return [format(v, f"0{width}b") for v in range(1 << width)]
+
+
 def count_width(n: int) -> int:
     """Width for counter values in [0, n-1] (degrees, incidence counts)."""
     return max(1, (n - 1).bit_length())

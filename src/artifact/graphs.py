@@ -20,7 +20,7 @@ from itertools import chain, combinations, product, repeat, starmap
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._bits import is_bits
+from ._bits import bit_strings, count_width, decode_int, encode_int, is_bits
 from ._rng import Tape
 
 
@@ -398,10 +398,6 @@ def build_disj_on_path(n: int, x: str, y: str) -> LabeledGraph:
 # then one fixed-width value per domain element in increasing order.
 
 
-def _pointer_value_width(n: int) -> int:
-    return max(1, (n - 1).bit_length())
-
-
 def encode_pointer_map(g: Mapping[int, int], n: int) -> str:
     if not 1 <= n <= 255:
         raise InvalidInstanceError("pointer domain size must be in [1, 255]")
@@ -409,29 +405,29 @@ def encode_pointer_map(g: Mapping[int, int], n: int) -> str:
     if any(not 0 <= t < n for t in dom) or any(not 0 <= v < n for v in g.values()):
         raise InvalidInstanceError("pointer map entries must lie in [0, n)")
     mask = "".join("1" if t in g else "0" for t in range(n))
-    w = _pointer_value_width(n)
-    body = "".join(format(g[t], f"0{w}b") for t in dom)
-    return format(n, "08b") + mask + body
+    w = count_width(n)
+    body = "".join(encode_int(g[t], w) for t in dom)
+    return encode_int(n, 8) + mask + body
 
 
 def decode_pointer_map(bits: str) -> tuple[dict[int, int], int]:
     """Inverse of encode_pointer_map; raises ValueError on malformed input."""
     if len(bits) < 8 or not is_bits(bits):
         raise ValueError("pointer label too short")
-    n = int(bits[:8], 2)
+    n = decode_int(bits[:8])
     if n < 1:
         raise ValueError("bad domain size")
     mask = bits[8 : 8 + n]
     if len(mask) < n:
         raise ValueError("truncated domain mask")
     dom = [t for t in range(n) if mask[t] == "1"]
-    w = _pointer_value_width(n)
+    w = count_width(n)
     body = bits[8 + n :]
     if len(body) != w * len(dom):
         raise ValueError("value section has wrong length")
     g = {}
     for pos, t in enumerate(dom):
-        v = int(body[pos * w : (pos + 1) * w], 2) if w else 0
+        v = decode_int(body[pos * w : (pos + 1) * w])
         if v >= n:
             raise ValueError("mapped value out of range")
         g[t] = v
@@ -581,11 +577,6 @@ def all_graphs(num_nodes: int) -> Iterator[LabeledGraph]:
         yield LabeledGraph(range(1, num_nodes + 1), edges)
 
 
-def _all_bits(width: int) -> Iterator[str]:
-    for v in range(1 << width):
-        yield format(v, f"0{width}b") if width else ""
-
-
 def _pointer_partitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     rest = list(range(1, n))
     for mask in range(1 << len(rest)):
@@ -617,11 +608,11 @@ _Instances = Callable[[int], Iterable[LabeledGraph]]
 
 
 def _marked(shape: Callable[[str], LabeledGraph]) -> _Instances:
-    return lambda m: map(shape, _all_bits(m))
+    return lambda m: map(shape, bit_strings(m))
 
 
 def _xy(builder: Callable[[int, str, str], LabeledGraph]) -> _Instances:
-    return lambda n: starmap(builder, product((n,), _all_bits(n), _all_bits(n)))
+    return lambda n: starmap(builder, product((n,), bit_strings(n), bit_strings(n)))
 
 
 # family -> parts, each (first size, instance count at size m, instances at
@@ -632,7 +623,7 @@ _FAMILIES: dict[str, tuple[tuple[int, Callable[[int], int], _Instances], ...]] =
     "xor-index-path": (
         (2, lambda n: 4**n * n * n, lambda n: starmap(
             build_xor_index_path,
-            product((n,), _all_bits(n), _all_bits(n), range(1, n + 1), range(1, n + 1)),
+            product((n,), bit_strings(n), bit_strings(n), range(1, n + 1), range(1, n + 1)),
         )),
     ),
     "one-marked-edge": (
@@ -642,7 +633,7 @@ _FAMILIES: dict[str, tuple[tuple[int, Callable[[int], int], _Instances], ...]] =
     ),
     "disj-on-clique": (
         (1, lambda n: 2 ** (n * n),
-         lambda n: map(build_disj_on_clique, product(_all_bits(n), repeat=n))),
+         lambda n: map(build_disj_on_clique, product(bit_strings(n), repeat=n))),
     ),
     "disj-on-edge": ((2, lambda n: 4**n, _xy(build_disj_on_edge)),),
     "disj-on-path": ((2, lambda n: 4**n, _xy(build_disj_on_path)),),
@@ -652,17 +643,17 @@ _FAMILIES: dict[str, tuple[tuple[int, Callable[[int], int], _Instances], ...]] =
     ),
     "disj-edge-star": (
         (1, lambda n: 4**n,
-         lambda n: starmap(build_disj_edge_star, product(_all_bits(n), repeat=2))),
+         lambda n: starmap(build_disj_edge_star, product(bit_strings(n), repeat=2))),
     ),
     "special-disjointness": (
         (1, lambda n: 2 * 4**n, lambda n: starmap(
-            build_special_disjointness, product((n,), _all_bits(n), _all_bits(n), "01"),
+            build_special_disjointness, product((n,), bit_strings(n), bit_strings(n), "01"),
         )),
     ),
     "disj-4partite": (
         (1, lambda n: 4 ** (n * n), lambda n: starmap(
             build_disj_4partite,
-            product(product(_all_bits(n), repeat=n), product(_all_bits(n), repeat=n)),
+            product(product(bit_strings(n), repeat=n), product(bit_strings(n), repeat=n)),
         )),
     ),
     "tomdf": ((1, lambda v: 2 ** (v * (v - 1) // 2), all_graphs),),

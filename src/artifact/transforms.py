@@ -21,7 +21,6 @@ round of full-state traffic, which an unbounded round permits.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from ._bits import count_width as _count_width, encode_int
 from ._codec import bytes_to_obj, obj_to_bytes
@@ -49,21 +48,17 @@ class _SwappedProtocol(Protocol):
         self.t = t
 
     def init(self, view: NodeView):
-        return {
-            "me": view.node,
-            "nbrs": view.neighbors,
-            "inner": self.inner.init(view),
-            "stash": None,      # inbox the displaced B round should consume
-            "payloads": None,   # neighbors' (state, inbox) pairs
-            "state_t": None,    # own inner state after the displaced B round
-        }
+        # (me, neighbours, data): data is the inner state, except that after
+        # round t it is (inner state, stashed inbox) and after round t+1 it is
+        # (inner state after the displaced B round, neighbours' payloads)
+        return view.node, view.neighbors, self.inner.init(view)
 
-    def _replay_neighbors(self, state, bcast_inbox):
+    def _replay_neighbors(self, me, payloads, bcast_inbox):
         """Recompute each neighbor's displaced B and L rounds and collect the
         unbounded-round messages they would have addressed to this node."""
-        t, me = self.t, state["me"]
+        t = self.t
         got = []
-        for sender, (st_u, inbox_u) in state["payloads"].items():
+        for sender, (st_u, inbox_u) in payloads.items():
             st_u, _ = self.inner.round(st_u, t, RoundKind.BCC, inbox_u)
             _, out_u = self.inner.round(st_u, t + 1, RoundKind.LOCAL, bcast_inbox)
             if me in out_u:
@@ -72,40 +67,35 @@ class _SwappedProtocol(Protocol):
 
     def round(self, state, index, kind, inbox):
         t = self.t
+        me, nbrs, data = state
         if index < t or index > t + 2:
-            inner_state, out = self.inner.round(
-                state["inner"], index, self.kinds[index - 1], inbox
-            )
-            return dict(state, inner=inner_state), out
+            data, out = self.inner.round(data, index, self.kinds[index - 1], inbox)
+            return (me, nbrs, data), out
         if index == t:
             # the new unbounded round: ship full state + pending deliveries
-            payload = obj_to_bytes((state["inner"], inbox))
-            return dict(state, stash=inbox), {u: payload for u in state["nbrs"]}
+            payload = obj_to_bytes((data, inbox))
+            return (me, nbrs, (data, inbox)), {u: payload for u in nbrs}
         if index == t + 1:
             # the displaced broadcast, computed from the stashed inbox
+            inner, stash = data
             payloads = {u: bytes_to_obj(msg) for u, msg in inbox}
-            state_t, out_b = self.inner.round(
-                state["inner"], t, RoundKind.BCC, state["stash"]
-            )
-            return dict(state, payloads=payloads, state_t=state_t), out_b
+            state_t, out_b = self.inner.round(inner, t, RoundKind.BCC, stash)
+            return (me, nbrs, (state_t, payloads)), out_b
         # index == t + 2: replay the displaced unbounded round, then resume
-        state_t1, _ = self.inner.round(
-            state["state_t"], t + 1, RoundKind.LOCAL, inbox
-        )
-        inner_inbox = self._replay_neighbors(state, inbox)
-        inner_state, out = self.inner.round(
-            state_t1, t + 2, self.kinds[t + 1], inner_inbox
-        )
-        return dict(state, inner=inner_state, payloads=None), out
+        state_t, payloads = data
+        state_t1, _ = self.inner.round(state_t, t + 1, RoundKind.LOCAL, inbox)
+        inner_inbox = self._replay_neighbors(me, payloads, inbox)
+        data, out = self.inner.round(state_t1, t + 2, self.kinds[t + 1], inner_inbox)
+        return (me, nbrs, data), out
 
     def decide(self, state, inbox):
+        me, _, data = state
         if len(self.kinds) == self.t + 1:
             # the swapped pair was the tail of the schedule
-            state_t1, _ = self.inner.round(
-                state["state_t"], self.t + 1, RoundKind.LOCAL, inbox
-            )
-            return self.inner.decide(state_t1, self._replay_neighbors(state, inbox))
-        return self.inner.decide(state["inner"], inbox)
+            state_t, payloads = data
+            state_t1, _ = self.inner.round(state_t, self.t + 1, RoundKind.LOCAL, inbox)
+            return self.inner.decide(state_t1, self._replay_neighbors(me, payloads, inbox))
+        return self.inner.decide(data, inbox)
 
 
 def swap_bl_to_lb(
@@ -167,15 +157,15 @@ def _chunks(bits: str, size: int) -> list[str]:
 
 class BroadcastRowDecider(Protocol):
     """Broadcast-only decider for the no-triangle-on-max-degree property:
-    degrees first, then everyone's adjacency row (over rank order) in
-    `chunk(n)`-bit pieces. With `pad`, the degree exchange also fixes the
-    virtual pendant leaves that equalize all degrees, and the test runs on the
-    padded graph, which decides triangle-freeness: each real node answers for
-    itself and for its own pendants. Pendant rows are public knowledge, so
-    only real rows travel. Without `pad` every node has no pendants."""
+    degrees first, then everyone's adjacency row (over rank order) in pieces
+    as wide as the schedule's cap. With `pad`, the degree exchange also fixes
+    the virtual pendant leaves that equalize all degrees, and the test runs on
+    the padded graph, which decides triangle-freeness: each real node answers
+    for itself and for its own pendants. Pendant rows are public knowledge, so
+    only real rows travel; the padded schedule runs at `composed_bandwidth`.
+    Without `pad` every node has no pendants and the cap is the default."""
 
-    def __init__(self, chunk: Callable[[int], int], pad: bool):
-        self.chunk = chunk
+    def __init__(self, pad: bool):
         self.pad = pad
 
     def init(self, view: NodeView):
@@ -203,7 +193,8 @@ class BroadcastRowDecider(Protocol):
         pendants, padded = state["plan"]
         mine = state["nbrs"] | set(pendants[state["me"]])
         row = "".join("1" if u in mine else "0" for u in padded)
-        pieces = _chunks(row, self.chunk(n))
+        cap = composed_bandwidth(n) if self.pad else default_bandwidth(n)
+        pieces = _chunks(row, cap)
         chunk = pieces[index - 2] if index - 2 < len(pieces) else ""
         for v, msg in inbox if index > 2 else ():
             state["rows"][v] = state["rows"].get(v, "") + msg
@@ -239,7 +230,7 @@ def tomdf_bcc_schedule(n: int) -> Schedule:
 def tomdf_bcc_decider(n: int) -> NamedProtocol:
     return NamedProtocol(
         "tomdf-bcc",
-        BroadcastRowDecider(default_bandwidth, pad=False),
+        BroadcastRowDecider(pad=False),
         tomdf_bcc_schedule(n),
         "tomdf",
         "tomdf",
@@ -259,7 +250,7 @@ def triangle_freeness_via_tomdf(n: int) -> NamedProtocol:
     schedule = Schedule((RoundKind.BCC,) * rounds, bandwidth=composed_bandwidth)
     return NamedProtocol(
         "triangle-freeness-via-tomdf",
-        BroadcastRowDecider(composed_bandwidth, pad=True),
+        BroadcastRowDecider(pad=True),
         schedule,
         "triangle-freeness",
         "triangle-freeness",

@@ -4,7 +4,9 @@ the cut-communication meter for network runs.
 The two-party problem is XOR-Index(n): Alice holds (x, i) and Bob holds
 (y, j), with n-bit strings x, y and 1-based indices i, j in [1, n].  The
 target bit is x_j XOR y_i, and a protocol answers correctly when
-out_A AND out_B equals it.
+out_A AND out_B equals it.  A one-round protocol is its four tables: the two
+message maps and the two output tables, which the search returns as its
+witness and the exact evaluation reads.
 
 Everything here is exact: protocol error probabilities are Fractions computed
 by full enumeration of the input space, and the brute-force search
@@ -35,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
-from ._bits import encode_int, is_bits
+from ._bits import bit_strings, encode_int, is_bits
 from .engine import RunResult, run
 from .graphs import LabeledGraph
 from .protocols import NamedProtocol
@@ -73,60 +75,50 @@ class SearchTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class OneRoundProtocol:
-    """A deterministic simultaneous one-message protocol.
+    """A deterministic simultaneous one-message protocol as four tables.
 
-    Output functions receive the peer's message plus the peer's index — the
-    indices ride along for free and only the x/y-dependent payload is
-    metered against k_a / k_b.
+    ``alice_msg[x, i]`` and ``bob_msg[y, j]`` are the messages;
+    ``alice_out[x, i, mb, j]`` and ``bob_out[y, j, ma, i]`` are the output
+    bits, read against the peer's message plus the peer's index.  The indices
+    ride along for free and only the messages are metered against k_a / k_b.
+    An output table needs entries only for the messages the peer sends.
     """
 
     n: int
     k_a: int
     k_b: int
-    alice_msg: Callable[[str, int], str]
-    bob_msg: Callable[[str, int], str]
-    alice_out: Callable[[str, int, str, int], int]
-    bob_out: Callable[[str, int, str, int], int]
-    tables: Mapping[str, Mapping] | None = field(default=None, compare=False)
-
-
-def _index_width(n: int) -> int:
-    return (n - 1).bit_length()
+    alice_msg: Mapping[tuple[str, int], str]
+    bob_msg: Mapping[tuple[str, int], str]
+    alice_out: Mapping[tuple[str, int, str, int], int]
+    bob_out: Mapping[tuple[str, int, str, int], int]
 
 
 def trivial_xor_index_protocol(n: int) -> OneRoundProtocol:
     """Reference zero-error upper bound: ship the whole input plus index.
 
-    Both message payloads are the n input bits followed by the sender's own
-    index ((n-1).bit_length() bits), so each side can evaluate x_j XOR y_i
-    itself and both output exactly the target value.
+    Both messages are the n input bits followed by the sender's own index
+    ((n-1).bit_length() bits), so each side can evaluate x_j XOR y_i itself
+    and both output exactly the target value.  Each output table holds
+    (2^n * n)^2 entries; past EVAL_BUDGET this raises SearchTooLargeError,
+    and n = 8 sits exactly at the budget (4,194,304 entries).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    w = _index_width(n)
-
-    def a_msg(x: str, i: int) -> str:
-        return x + encode_int(i - 1, w) if w else x
-
-    def b_msg(y: str, j: int) -> str:
-        return y + encode_int(j - 1, w) if w else y
-
-    def a_out(x: str, i: int, mb: str, j: int) -> int:
-        y = mb[:n]
-        return int(x[j - 1]) ^ int(y[i - 1])
-
-    def b_out(y: str, j: int, ma: str, i: int) -> int:
-        x = ma[:n]
-        return int(x[j - 1]) ^ int(y[i - 1])
-
+    entries = ((1 << n) * n) ** 2
+    if entries > EVAL_BUDGET:
+        raise SearchTooLargeError(f"{entries} table entries exceed the evaluation budget")
+    inputs = [(x, i) for x in bit_strings(n) for i in range(1, n + 1)]
+    w = (n - 1).bit_length()
+    msg = {(x, i): x + encode_int(i - 1, w) for x, i in inputs}
+    out = {
+        (x, i, msg[y, j], j): int(x[j - 1]) ^ int(y[i - 1])
+        for x, i in inputs
+        for y, j in inputs
+    }
     return OneRoundProtocol(
         n=n, k_a=n + w, k_b=n + w,
-        alice_msg=a_msg, bob_msg=b_msg, alice_out=a_out, bob_out=b_out,
+        alice_msg=msg, bob_msg=msg, alice_out=out, bob_out=out,
     )
-
-
-def _bit_strings(n: int) -> list[str]:
-    return ["".join(t) for t in itertools.product("01", repeat=n)]
 
 
 def eval_protocol_error(protocol: OneRoundProtocol, n: int) -> Fraction:
@@ -135,35 +127,25 @@ def eval_protocol_error(protocol: OneRoundProtocol, n: int) -> Fraction:
     Raises SearchTooLargeError when the enumeration would exceed EVAL_BUDGET
     and ValueError if any message overruns its budget.
     """
-    xs = _bit_strings(n)
-    total = (len(xs) * n) ** 2
+    total = ((1 << n) * n) ** 2
     if total > EVAL_BUDGET:
         raise SearchTooLargeError(f"{total} tuples exceed the evaluation budget")
+    inputs = [(x, i) for x in bit_strings(n) for i in range(1, n + 1)]
+    a_msg, b_msg = protocol.alice_msg, protocol.bob_msg
+    for name, msgs, k in (("alice", a_msg, protocol.k_a), ("bob", b_msg, protocol.k_b)):
+        for key in inputs:
+            m = msgs[key]
+            if not is_bits(m) or len(m) > k:
+                raise ValueError(f"{name} message {m!r} breaks the {k}-bit budget")
+    a_out, b_out = protocol.alice_out, protocol.bob_out
+    b_side = [(y, j, b_msg[y, j]) for y, j in inputs]
     bad = 0
-    indices = range(1, n + 1)
-    a_msgs = {}
-    for x in xs:
-        for i in indices:
-            m = protocol.alice_msg(x, i)
-            if not is_bits(m) or len(m) > protocol.k_a:
-                raise ValueError(f"alice message {m!r} breaks the {protocol.k_a}-bit budget")
-            a_msgs[x, i] = m
-    b_msgs = {}
-    for y in xs:
-        for j in indices:
-            m = protocol.bob_msg(y, j)
-            if not is_bits(m) or len(m) > protocol.k_b:
-                raise ValueError(f"bob message {m!r} breaks the {protocol.k_b}-bit budget")
-            b_msgs[y, j] = m
-    for x in xs:
-        for i in indices:
-            for y in xs:
-                for j in indices:
-                    out_a = protocol.alice_out(x, i, b_msgs[y, j], j)
-                    out_b = protocol.bob_out(y, j, a_msgs[x, i], i)
-                    want = int(x[j - 1]) ^ int(y[i - 1])
-                    if (out_a & out_b) != want:
-                        bad += 1
+    for x, i in inputs:
+        ma = a_msg[x, i]
+        for y, j, mb in b_side:
+            # the target x_j XOR y_i is whether the two bits differ
+            if (a_out[x, i, mb, j] & b_out[y, j, ma, i]) != (x[j - 1] != y[i - 1]):
+                bad += 1
     return Fraction(bad, total)
 
 
@@ -271,23 +253,6 @@ def _slice_best(xs, i, j, a_msg_of, b_msg_of):
     return bad, a_tab, b_tab
 
 
-def _table_protocol(n, k_a, k_b, a_msg, b_msg, a_out, b_out) -> OneRoundProtocol:
-    tables = {
-        "alice_msg": dict(a_msg),
-        "bob_msg": dict(b_msg),
-        "alice_out": dict(a_out),
-        "bob_out": dict(b_out),
-    }
-    return OneRoundProtocol(
-        n=n, k_a=k_a, k_b=k_b,
-        alice_msg=lambda x, i: a_msg[x, i],
-        bob_msg=lambda y, j: b_msg[y, j],
-        alice_out=lambda x, i, mb, j: a_out.get((x, i, mb, j), 0),
-        bob_out=lambda y, j, ma, i: b_out.get((y, j, ma, i), 0),
-        tables=tables,
-    )
-
-
 def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRoundProtocol]:
     """Exact minimum error over all deterministic protocols within budget.
 
@@ -302,10 +267,10 @@ def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRound
         raise SearchTooLargeError(
             f"bruteforce_min_error({n}, {k_a}, {k_b}) exceeds {SEARCH_BUDGET} candidates"
         )
-    xs = _bit_strings(n)
+    xs = bit_strings(n)
     inputs = [(x, i) for x in xs for i in range(1, n + 1)]
-    space_a = _bit_strings(k_a) if k_a else [""]
-    space_b = _bit_strings(k_b) if k_b else [""]
+    space_a = bit_strings(k_a)
+    space_b = bit_strings(k_b)
     # Alice's row i lists her messages over xs at index i; message relabeling
     # pins the first input's message, the first entry of row 1, to space_a[0]
     pinned = [(space_a[0],) + t for t in itertools.product(space_a, repeat=len(xs) - 1)]
@@ -354,7 +319,7 @@ def bruteforce_min_error(n: int, k_a: int, k_b: int) -> tuple[Fraction, OneRound
                 a_out[x, i, mb, j] = bit
             for (y, ma), bit in b_tab.items():
                 b_out[y, j, ma, i] = bit
-    witness = _table_protocol(n, k_a, k_b, a_map, b_map, a_out, b_out)
+    witness = OneRoundProtocol(n, k_a, k_b, a_map, b_map, a_out, b_out)
     error = Fraction(best_bad, ((1 << n) * n) ** 2)
     check = eval_protocol_error(witness, n)
     if check != error or table_bad != best_bad:
@@ -372,7 +337,12 @@ def search_result_json(n: int, k_a: int, k_b: int, error: Fraction,
             for key, val in sorted(table.items(), key=lambda kv: tuple(map(str, kv[0])))
         }
 
-    tables = witness.tables or {}
+    tables = {
+        "alice_msg": witness.alice_msg,
+        "bob_msg": witness.bob_msg,
+        "alice_out": witness.alice_out,
+        "bob_out": witness.bob_out,
+    }
     blob = {
         "n": n,
         "kA": k_a,

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact._bits import (
+    bit_strings,
     bytes_to_bits,
     count_width,
     decode_ids,
@@ -44,6 +47,12 @@ def test_encode_int_fixed_width():
 @given(st.integers(min_value=0, max_value=2**20 - 1))
 def test_int_round_trip(value):
     assert decode_int(encode_int(value, 20)) == value
+
+
+def test_bit_strings_are_lexicographic_at_every_width():
+    assert bit_strings(0) == [""]
+    for width in range(1, 6):
+        assert bit_strings(width) == ["".join(t) for t in itertools.product("01", repeat=width)]
 
 
 def test_count_width():

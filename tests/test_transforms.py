@@ -85,13 +85,6 @@ SMALL_BL_SCHEDULES = [
 ]
 
 
-def _stress_seeds(text):
-    """Seeds for one schedule; seed s runs on random_labeled_graph(2 + s % 5, s).
-    With three unbounded rounds a run pair on 6 nodes takes 0.1-0.9 s (2-core
-    Xeon, Python 3.11), so those schedules keep the seven seeds of 2-5 nodes."""
-    return range(10) if text.count("L") < 3 else (0, 1, 2, 3, 5, 6, 7)
-
-
 @pytest.mark.parametrize("text", SMALL_BL_SCHEDULES)
 def test_normalize_preserves_stress_verdicts_on_every_small_schedule(text):
     # every {B,L} schedule of length 2-4 with at most two unbounded rounds,
@@ -101,7 +94,7 @@ def test_normalize_preserves_stress_verdicts_on_every_small_schedule(text):
     proto = FullStateStressProtocol()
     norm, nsched = normalize_lb(proto, sched)
     assert "BL" not in "".join(k.char for k in nsched)
-    for seed in _stress_seeds(text):
+    for seed in range(10):
         g = random_labeled_graph(2 + seed % 5, seed)
         assert verdicts_match(proto, sched, norm, nsched, g, seed=seed), seed
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from artifact import twoparty
+from artifact._bits import bit_strings
 from artifact.graphs import build_clique_bridge, build_xor_index_path
 from artifact.languages import pointer_chase
 from artifact.protocols import proto_registry
@@ -23,12 +24,11 @@ from artifact.twoparty import (
 
 
 def constant_protocol(n, bit):
+    inputs = [(x, i) for x in bit_strings(n) for i in range(1, n + 1)]
+    msg = dict.fromkeys(inputs, "")
+    out = {(x, i, "", j): bit for x, i in inputs for j in range(1, n + 1)}
     return OneRoundProtocol(
-        n=n, k_a=0, k_b=0,
-        alice_msg=lambda x, i: "",
-        bob_msg=lambda y, j: "",
-        alice_out=lambda x, i, mb, j: bit,
-        bob_out=lambda y, j, ma, i: bit,
+        n=n, k_a=0, k_b=0, alice_msg=msg, bob_msg=msg, alice_out=out, bob_out=out,
     )
 
 
@@ -45,7 +45,7 @@ def test_trivial_protocol_zero_error():
 def test_trivial_protocol_budget():
     proto = trivial_xor_index_protocol(4)
     assert proto.k_a == proto.k_b == 4 + 2  # n bits plus the free-rider index
-    msg = proto.alice_msg("1010", 3)
+    msg = proto.alice_msg["1010", 3]
     assert len(msg) == proto.k_a
 
 
@@ -58,13 +58,23 @@ def test_constant_protocols_err_half():
 def test_eval_rejects_over_budget_messages():
     cheat = OneRoundProtocol(
         n=1, k_a=0, k_b=0,
-        alice_msg=lambda x, i: x,  # 1 bit against a 0-bit budget
-        bob_msg=lambda y, j: "",
-        alice_out=lambda x, i, mb, j: 1,
-        bob_out=lambda y, j, ma, i: 1,
+        alice_msg={("0", 1): "0", ("1", 1): "1"},  # 1 bit against a 0-bit budget
+        bob_msg={("0", 1): "", ("1", 1): ""},
+        alice_out={(x, 1, "", 1): 1 for x in "01"},
+        bob_out={(y, 1, ma, 1): 1 for y in "01" for ma in "01"},
     )
     with pytest.raises(ValueError):
         eval_protocol_error(cheat, 1)
+
+
+def test_evaluation_budget_refuses_n_past_8():
+    # n = 8 fills the budget exactly: (2^8 * 8)^2 = 2^22 output entries
+    assert (256 * 8) ** 2 == twoparty.EVAL_BUDGET
+    for n in (9, 64):  # refused before any input is listed
+        with pytest.raises(SearchTooLargeError):
+            trivial_xor_index_protocol(n)
+        with pytest.raises(SearchTooLargeError):
+            eval_protocol_error(constant_protocol(1, 0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,7 @@ def _bruteforce_pairs(n, k_a, k_b):
             a_out[x, i, mb, j] = bit
         for (y, ma), bit in b_tab.items():
             b_out[y, j, ma, i] = bit
-    witness = twoparty._table_protocol(
+    witness = OneRoundProtocol(
         n, k_a, k_b, dict(zip(inputs, a_vals)), dict(zip(inputs, b_vals)), a_out, b_out
     )
     return Fraction(best_bad, (len(xs) * n) ** 2), witness
