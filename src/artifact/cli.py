@@ -33,6 +33,7 @@ from .graphs import (
     build_gadget,
     clique_graph,
     cycle_graph,
+    gadget_cut,
     marked_clique,
     marked_cycle,
     marked_path,
@@ -81,6 +82,12 @@ def _coerce(key: str, value: str):
 
 def parse_generator(spec: str) -> LabeledGraph:
     """Build a graph from 'family:arg:key=value,...' text."""
+    return _generate(spec)[0]
+
+
+def _generate(spec: str) -> tuple[LabeledGraph, tuple[str, dict] | None]:
+    """parse_generator's graph, plus (family, params) when the spec names a
+    gadget, so that a caller can ask for the gadget's cut without a reparse."""
     parts = spec.split(":")
     family, rest = parts[0], parts[1:]
     positional: list[str] = []
@@ -103,38 +110,40 @@ def parse_generator(spec: str) -> LabeledGraph:
             if size is not None and size != len(marks):
                 raise InvalidInstanceError("size and marks length disagree")
             builder = {"path": marked_path, "cycle": marked_cycle, "clique": marked_clique}
-            return builder[family](marks)
+            return builder[family](marks), None
         if size is None:
             raise InvalidInstanceError(f"{family} generator needs a size")
         builder = {"path": path_graph, "cycle": cycle_graph, "clique": clique_graph}
-        return builder[family](size)
+        return builder[family](size), None
     if family == "random":
         size = int(positional[0]) if positional else int(kv.pop("n"))
         seed = int(kv.pop("seed", "0"))
         if kv:
             raise InvalidInstanceError(f"unexpected parameters in {spec!r}")
-        return random_labeled_graph(size, seed)
+        return random_labeled_graph(size, seed), None
     if positional:
         raise InvalidInstanceError(
             f"{family!r} takes named parameters only, got {positional}"
         )
-    return build_gadget(family, **{k: _coerce(k, v) for k, v in kv.items()})
+    params = {k: _coerce(k, v) for k, v in kv.items()}
+    return build_gadget(family, **params), (family, params)
 
 
-def _load_instance(ns: argparse.Namespace) -> LabeledGraph:
+def _load_instance(ns: argparse.Namespace) -> tuple[LabeledGraph, tuple[str, dict] | None]:
+    """The instance, plus (family, params) when --gen names a gadget."""
     if (ns.gen is None) == (ns.instance is None):
         raise InvalidInstanceError("provide exactly one of --gen and --instance")
     if ns.gen is not None:
-        return parse_generator(ns.gen)
+        return _generate(ns.gen)
     try:
         with open(ns.instance, encoding="utf-8") as fh:
-            return LabeledGraph.from_json(fh.read())
+            return LabeledGraph.from_json(fh.read()), None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"bad instance file {ns.instance}: {exc}") from exc
 
 
 def parse_node_set(text: str, nodes: tuple[int, ...]) -> frozenset[int]:
-    """Parse '1-4,9' style node lists; 'all'/'rest' are handled by callers."""
+    """Parse '1-4,9' style node lists; 'all' is handled by callers."""
     out: set[int] = set()
     for item in text.split(","):
         if not item:
@@ -174,7 +183,7 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     named = proto_registry(ns.protocol)
-    graph = _load_instance(ns)
+    graph, _ = _load_instance(ns)
     schedule = _resolve_schedule(named, ns)
     result = run(named.protocol, graph, schedule, record=ns.transcript is not None)
     verdict = result.verdict
@@ -212,13 +221,19 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_reduce(ns: argparse.Namespace) -> int:
     named = proto_registry(ns.protocol)
-    graph = _load_instance(ns)
+    graph, gadget = _load_instance(ns)
     nodes = graph.nodes
-    alice = parse_node_set(ns.alice, nodes)
-    bob = (
-        frozenset(set(nodes) - alice) if ns.bob in (None, "rest")
-        else parse_node_set(ns.bob, nodes)
-    )
+    if ns.alice is not None:
+        alice = parse_node_set(ns.alice, nodes)
+    elif gadget is None:
+        raise InvalidInstanceError("only a --gen gadget has a built-in cut: give --alice")
+    else:
+        family, params = gadget
+        try:
+            alice = gadget_cut(family, **params)
+        except InvalidInstanceError as exc:
+            raise InvalidInstanceError(f"{exc}: give --alice") from None
+    bob = frozenset(nodes) - alice
     accounted = (
         frozenset(nodes) if ns.accounted == "all" else parse_node_set(ns.accounted, nodes)
     )
@@ -315,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="meter cut communication of a run")
     add_common(p, protocol=True, instance=True)
-    p.add_argument("--alice", required=True, help="node list, e.g. 1-4,9")
-    p.add_argument("--bob", help="node list (default: the rest)")
+    p.add_argument("--alice", help="node list, e.g. 1-4,9 (default: the cut of the "
+                   "--gen gadget); Bob gets the rest")
     p.add_argument("--accounted", default="all", help="node list or 'all'")
 
     p = sub.add_parser("bruteforce", help="exact minimum-error search")

@@ -245,7 +245,6 @@ class Verdict:
 class RunResult:
     verdict: Verdict
     transcript: Transcript
-    final_inboxes: dict[int, Inbox]
 
     def __iter__(self):
         # allow `verdict, transcript = run(...)`
@@ -345,4 +344,4 @@ def run(
             max_bits[kind_char] = top
 
     per_node = {v: bool(decide(state, inbox)) for v, state, inbox in zip(nodes, states, inboxes)}
-    return RunResult(Verdict(per_node), transcript, dict(zip(nodes, inboxes)))
+    return RunResult(Verdict(per_node), transcript)

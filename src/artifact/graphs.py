@@ -13,6 +13,7 @@ calls are byte-identical under JSON serialization.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -543,26 +544,55 @@ def build_disj_4partite(x_rows: Sequence[str], y_rows: Sequence[str]) -> Labeled
     return skeleton._relabeled(dict(zip(skeleton.nodes, labels)))
 
 
-_GADGET_BUILDERS = {
-    "xor-index-path": build_xor_index_path,
-    "clique-bridge": build_clique_bridge,
-    "disj-on-clique": build_disj_on_clique,
-    "disj-on-edge": build_disj_on_edge,
-    "disj-on-path": build_disj_on_path,
-    "k-pclp": build_kpclp_path,
-    "disj-edge-star": build_disj_edge_star,
-    "special-disjointness": build_special_disjointness,
-    "disj-4partite": build_disj_4partite,
+# family -> (builder, Alice's side of its two-party cut, or None).  A cut
+# reads the builder's parameters and returns Alice's nodes; Bob holds the
+# rest.  Changing one of a party's inputs changes only labels of, and edges
+# among, that party's nodes, so twoparty.cut_communication meters what a
+# schedule carries between the parties.  special-disjointness and
+# disj-on-clique have no two-party layout.
+_GADGETS: dict[str, tuple[Callable[..., LabeledGraph], Callable[..., Iterable[int]] | None]] = {
+    "xor-index-path": (build_xor_index_path, lambda n, **_: range(1, n + 2)),
+    "clique-bridge": (
+        build_clique_bridge,
+        lambda n, k=1, **_: chain(range(1, n + 1), range(2 * n + 1, 2 * n + 2 * k + 1)),
+    ),
+    "disj-on-clique": (build_disj_on_clique, None),
+    "disj-on-edge": (build_disj_on_edge, lambda n, **_: range(1, n + 1)),
+    "disj-on-path": (build_disj_on_path, lambda n, **_: range(1, n + 1)),
+    "k-pclp": (build_kpclp_path, lambda n, **_: range(1, n + 1)),
+    "disj-edge-star": (build_disj_edge_star, lambda x, **_: chain((1,), range(3, len(x) + 3))),
+    "special-disjointness": (build_special_disjointness, None),
+    "disj-4partite": (build_disj_4partite, lambda x_rows, **_: range(1, 2 * len(x_rows) + 1)),
 }
+
+
+def _gadget(family: str, params: Mapping) -> tuple[Callable[..., LabeledGraph], Callable | None]:
+    """The family's (builder, cut), once `params` fit the builder's signature."""
+    try:
+        builder, cut = _GADGETS[family]
+    except KeyError:
+        raise InvalidInstanceError(f"unknown gadget family {family!r}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidInstanceError(f"{family}: {exc}") from None
+    return builder, cut
 
 
 def build_gadget(family: str, **params) -> LabeledGraph:
     """Dispatch to a gadget generator by family name."""
-    try:
-        builder = _GADGET_BUILDERS[family]
-    except KeyError:
-        raise InvalidInstanceError(f"unknown gadget family {family!r}") from None
+    builder, _ = _gadget(family, params)
     return builder(**params)
+
+
+def gadget_cut(family: str, **params) -> frozenset[int]:
+    """Alice's nodes of the gadget that build_gadget(family, **params) builds;
+    Bob gets the rest.  Raises InvalidInstanceError for a family without a
+    two-party layout."""
+    _, cut = _gadget(family, params)
+    if cut is None:
+        raise InvalidInstanceError(f"{family} has no Alice/Bob cut")
+    return frozenset(cut(**params))
 
 
 # ---------------------------------------------------------------------------

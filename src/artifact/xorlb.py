@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 __all__ = [
     "InfeasibleRowError",
     "DecisionRuleParams",
@@ -118,6 +116,8 @@ def monte_carlo_rule(params: DecisionRuleParams, post: Posteriors,
     the accept bits equals [X != Y].  Trials are split over independent
     streams keyed (seed, shard) so the estimate is reproducible.
     """
+    import numpy as np  # here, so that importing the package skips numpy
+
     if trials < 1:
         raise ValueError("need trials >= 1")
     shards = 16

@@ -220,6 +220,43 @@ def test_reduce_reports_totals(capsys):
     assert len(report["alice_to_bob"]) == len(report["bob_to_alice"])
 
 
+@pytest.mark.parametrize(
+    "argv,alice,digest",
+    [
+        (["--protocol", "xor-index-path",
+          "--gen", "xor-index-path:n=8,x=10110010,y=01100101,i=3,j=6",
+          "--accounted", "1,7,8,9,10,11,17"],
+         "1-9", "1334eff3597eb716c9c9da30217b13db"),
+        (["--protocol", "one-marked-edge",
+          "--gen", "clique-bridge:n=4,x=100000,y=000001,i=1,j=6"],
+         "1-4,9,10", "90485bc2db01b20ca0e98bbad681e516"),
+    ],
+    ids=["xor-index-path", "clique-bridge"],
+)
+def test_reduce_takes_alice_from_the_gadget_cut(argv, alice, digest, capsys):
+    outs = []
+    for extra in ([], ["--alice", alice]):
+        assert main(["reduce", *argv, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert hashlib.md5(outs[0].encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("source", ["path", "special-disjointness", "instance"])
+def test_reduce_without_a_built_in_cut_needs_alice(source, tmp_path, capsys):
+    inst = tmp_path / "g.json"
+    inst.write_text(marked_path("110").to_json())
+    where = {
+        "path": ["--gen", "path:3"],
+        "special-disjointness": ["--gen", "special-disjointness:n=2,x=10,y=01,b=1"],
+        "instance": ["--instance", str(inst)],
+    }[source]
+    assert main(["reduce", "--protocol", "one-marked-edge", *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alice" in captured.err
+
+
 def test_bruteforce_prints_fraction(capsys):
     assert main(["bruteforce", "--n", "1", "--ka", "0", "--kb", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1/4"
@@ -290,12 +327,15 @@ def test_bound(capsys):
         ["verify", "--only", "one-marked-edge", "--max-n", "2", "--seed", "1"],
         ["reduce", "--protocol", "one-marked-edge", "--gen", "path:3", "--alice", "1",
          "--seed", "1"],
+        ["reduce", "--protocol", "one-marked-edge", "--gen", "path:3", "--alice", "1",
+         "--bob", "2"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2][1:]}",
 )
 def test_commands_refuse_options_they_would_ignore(argv, capsys):
     # no command takes a run seed (every suite protocol is deterministic),
-    # and bound and cost print to stdout only
+    # bound and cost print to stdout only, and reduce gives Bob the nodes
+    # that --alice leaves
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -322,6 +362,17 @@ def test_every_export_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
         assert hasattr(module, name), name
+
+
+def test_importing_the_cli_skips_numpy():
+    # numpy serves only the Monte-Carlo estimate, which imports it on call
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    code = "import sys, artifact.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, text=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_output_does_not_depend_on_the_hash_seed():

@@ -43,6 +43,27 @@ class Echo(Protocol):
         return True
 
 
+class Recording(Protocol):
+    """Wraps a protocol and keeps the inbox each node hands to decide."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.inboxes = {}
+
+    def init(self, view):
+        return view.node, self.inner.init(view)
+
+    def round(self, state, index, kind, inbox):
+        node, inner = state
+        inner, outbox = self.inner.round(inner, index, kind, inbox)
+        return (node, inner), outbox
+
+    def decide(self, state, inbox):
+        node, inner = state
+        self.inboxes[node] = inbox
+        return self.inner.decide(inner, inbox)
+
+
 def test_default_bandwidth():
     assert default_bandwidth(1) == 4
     assert default_bandwidth(2) == 4
@@ -89,13 +110,15 @@ def test_run_unpacks_to_pair():
 
 
 def test_broadcast_recorded_once_per_sender():
-    result = run(Echo("10"), clique_graph(4), Schedule.parse("B"))
+    echo = Recording(Echo("10"))
+    result = run(echo, clique_graph(4), Schedule.parse("B"))
     events = result.transcript.events
     assert len(events) == 4
     assert all(e.receiver is None for e in events)
     assert all(e.bits == 2 for e in events)
     # every node, sender included, gets the full broadcast multiset
-    for inbox in result.final_inboxes.values():
+    assert sorted(echo.inboxes) == [1, 2, 3, 4]
+    for inbox in echo.inboxes.values():
         assert sorted(s for s, _ in inbox) == [1, 2, 3, 4]
 
 
@@ -109,8 +132,10 @@ def test_congest_records_directed_messages():
 def test_point_to_point_inboxes_list_senders_in_order(text):
     # senders are visited in id order and each names a receiver at most once,
     # so every L and C inbox lists strictly ascending senders
-    result = run(Echo(), clique_graph(4), Schedule.parse(text))
-    for v, inbox in result.final_inboxes.items():
+    echo = Recording(Echo())
+    run(echo, clique_graph(4), Schedule.parse(text))
+    assert sorted(echo.inboxes) == [1, 2, 3, 4]
+    for v, inbox in echo.inboxes.items():
         senders = [s for s, _ in inbox]
         assert senders == [u for u in range(1, 5) if u != v]
 
@@ -244,13 +269,14 @@ def test_contract_errors_name_the_round_and_the_node(fault, kind):
 def test_recording_modes_agree(row):
     named = proto_registry(row)
     for g in enumerate_small_instances(named.family, 2):
-        full = run(named.protocol, g, named.schedule)
-        lean = run(named.protocol, g, named.schedule, record=False)
+        full_rec, lean_rec = Recording(named.protocol), Recording(named.protocol)
+        full = run(full_rec, g, named.schedule)
+        lean = run(lean_rec, g, named.schedule, record=False)
         assert full.verdict == lean.verdict
         assert full.verdict.rejectors == lean.verdict.rejectors
         assert full.transcript.totals == lean.transcript.totals
         assert full.transcript.max_bits == lean.transcript.max_bits
-        assert full.final_inboxes == lean.final_inboxes
+        assert full_rec.inboxes == lean_rec.inboxes
         assert lean.transcript.events == []
         sums, tops = {"L": 0, "B": 0, "C": 0}, {"L": 0, "B": 0, "C": 0}
         rendered = json.loads(full.transcript.to_json())["events"]
@@ -332,11 +358,13 @@ def test_transcript_serialization():
 @pytest.mark.parametrize("kind", "BLC")
 def test_bytes_payload_counts_eight_bits_per_byte(kind):
     payload = b"\x00\xa5"
-    result = run(Echo(payload), path_graph(2), Schedule.parse(kind, bandwidth=lambda n: 16))
+    echo = Recording(Echo(payload))
+    result = run(echo, path_graph(2), Schedule.parse(kind, bandwidth=lambda n: 16))
     transcript = result.transcript
     assert transcript.totals[kind] == 2 * 16 and transcript.max_bits[kind] == 16
     assert all(e.bits == 16 and e.payload is payload for e in transcript.events)
     # the receiver gets the bytes object; the transcript shows its bit string
-    assert all(msg is payload for inbox in result.final_inboxes.values() for _, msg in inbox)
+    assert sorted(echo.inboxes) == [1, 2]
+    assert all(msg is payload for inbox in echo.inboxes.values() for _, msg in inbox)
     shown = {e["payload"] for e in json.loads(transcript.to_json())["events"]}
     assert shown == {"0000000010100101"}

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact._bits import bit_strings
 from artifact.graphs import (
     _FAMILIES,
+    _GADGETS,
+    _alternating_maps,
     EnumerationTooLargeError,
     InvalidInstanceError,
     Label,
@@ -32,6 +35,7 @@ from artifact.graphs import (
     decode_pointer_map,
     encode_pointer_map,
     enumerate_small_instances,
+    gadget_cut,
     marked_path,
     path_graph,
     random_labeled_graph,
@@ -211,6 +215,139 @@ def test_build_gadget_dispatch():
     assert g == build_disj_on_edge(2, "10", "01")
     with pytest.raises(InvalidInstanceError):
         build_gadget("no-such-family")
+    # parameters that do not fit the builder fail as a bad instance
+    for bad in (dict(n=2, x="10"), dict(n=2, x="10", y="01", z="1")):
+        with pytest.raises(InvalidInstanceError, match="disj-on-edge"):
+            build_gadget("disj-on-edge", **bad)
+        with pytest.raises(InvalidInstanceError, match="disj-on-edge"):
+            gadget_cut("disj-on-edge", **bad)
+    with pytest.raises(InvalidInstanceError):
+        gadget_cut("no-such-family")
+
+
+def test_gadget_cut_gives_the_criterion_05_splits():
+    for n in (8, 16, 32):
+        params = dict(n=n, x=("10" * n)[:n], y=("01" * n)[:n], i=1, j=n)
+        assert gadget_cut("xor-index-path", **params) == frozenset(range(1, n + 2))
+    for n in (4, 6, 8):
+        m = n * (n - 1) // 2
+        params = dict(n=n, x="1" + "0" * (m - 1), y="0" * (m - 1) + "1", i=1, j=m, k=1)
+        alice = frozenset(list(range(1, n + 1)) + [2 * n + 1, 2 * n + 2])
+        assert gadget_cut("clique-bridge", **params) == alice
+
+
+# family -> (one instance, Alice's side of its cut).  The nodes that carry no
+# input (path, hubs, middle blocks) could sit on either side; these pin the
+# side each family puts them on.
+_CUT_SETS = {
+    "xor-index-path": (dict(n=3, x="101", y="011", i=1, j=3), {1, 2, 3, 4}),
+    "clique-bridge": (dict(n=3, x="101", y="011", i=1, j=3, k=2), {1, 2, 3, 7, 8, 9, 10}),
+    "disj-on-edge": (dict(n=3, x="101", y="011"), {1, 2, 3}),
+    "disj-on-path": (dict(n=3, x="101", y="011"), {1, 2, 3}),
+    "k-pclp": (dict(f_a={0: 2, 1: 3}, f_b={2: 1, 3: 0}, n=4), {1, 2, 3, 4}),
+    "disj-edge-star": (dict(x="10", y="01", indices_b=(2, 1)), {1, 3, 4}),
+    "disj-4partite": (dict(x_rows=("10", "01"), y_rows=("11", "00")), {1, 2, 3, 4}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CUT_SETS))
+def test_gadget_cut_sets(family):
+    params, alice = _CUT_SETS[family]
+    assert gadget_cut(family, **params) == alice
+
+
+# family -> (the parameters of every small instance, the inputs Alice owns,
+# the inputs Bob owns); n and k shape the gadget and belong to neither side
+_CUT_CASES = {
+    "xor-index-path": (
+        [dict(n=n, x=x, y=y, i=i, j=j)
+         for n in (2, 3) for x, y in product(bit_strings(n), repeat=2)
+         for i, j in product(range(1, n + 1), repeat=2)],
+        ("x", "i"), ("y", "j"),
+    ),
+    "clique-bridge": (
+        [dict(n=n, x=x, y=y, i=i, j=j, k=k)
+         for n in (2, 3) for k in (1, 2) for m in [n * (n - 1) // 2]
+         for x, y in product(bit_strings(m), repeat=2)
+         for i, j in product(range(1, m + 1), repeat=2)],
+        ("x", "i"), ("y", "j"),
+    ),
+    "disj-on-edge": (
+        [dict(n=n, x=x, y=y) for n in (2, 3) for x, y in product(bit_strings(n), repeat=2)],
+        ("x",), ("y",),
+    ),
+    "disj-on-path": (
+        [dict(n=n, x=x, y=y) for n in (2, 3) for x, y in product(bit_strings(n), repeat=2)],
+        ("x",), ("y",),
+    ),
+    "k-pclp": (
+        [dict(f_a=f_a, f_b=f_b, n=n) for n in (2, 3, 4) for f_a, f_b in _alternating_maps(n)],
+        ("f_a",), ("f_b",),
+    ),
+    "disj-edge-star": (
+        [dict(x=x, y=y, indices_a=ia, indices_b=ib)
+         for n in (1, 2) for x, y in product(bit_strings(n), repeat=2)
+         for ia, ib in product(product(range(1, n + 1), repeat=n), repeat=2)],
+        ("x", "indices_a"), ("y", "indices_b"),
+    ),
+    "disj-4partite": (
+        [dict(x_rows=xr, y_rows=yr)
+         for n in (1, 2) for xr, yr in product(product(bit_strings(n), repeat=n), repeat=2)],
+        ("x_rows",), ("y_rows",),
+    ),
+}
+
+# gadgets without a two-party layout, each with one valid instance
+_NO_CUT = {
+    "special-disjointness": dict(n=2, x="10", y="01", b="1"),
+    "disj-on-clique": dict(rows=("10", "01")),
+}
+
+
+def test_every_gadget_family_is_covered_by_a_cut_test():
+    assert set(_CUT_CASES) == set(_CUT_SETS)
+    assert set(_CUT_CASES) | set(_NO_CUT) == set(_GADGETS)
+    assert not set(_CUT_CASES) & set(_NO_CUT)
+
+
+def _touched(g: LabeledGraph, h: LabeledGraph) -> set[int]:
+    """Nodes whose label differs between g and h, plus both ends of every
+    edge that only one of them has."""
+    assert g.nodes == h.nodes
+    changed = {v for v in g.nodes if g.label(v) != h.label(v)}
+    return changed.union(*(g.edges ^ h.edges))
+
+
+@pytest.mark.parametrize("family", sorted(_CUT_CASES))
+def test_gadget_cut_keeps_each_input_on_its_owners_side(family):
+    # changing one input changes only labels of, and edges among, nodes on
+    # the side of the party that owns that input
+    instances, alice_inputs, bob_inputs = _CUT_CASES[family]
+    seen = set()  # the inputs whose change showed in the graph
+    for key in alice_inputs + bob_inputs:
+        groups: dict[str, list[dict]] = {}
+        for params in instances:
+            rest = repr(sorted((k, v) for k, v in params.items() if k != key))
+            groups.setdefault(rest, []).append(params)
+        for base, *others in groups.values():
+            g = build_gadget(family, **base)
+            alice = gadget_cut(family, **base)
+            assert alice and alice < set(g.nodes)
+            owner = alice if key in alice_inputs else set(g.nodes) - alice
+            for params in others:
+                assert gadget_cut(family, **params) == alice
+                touched = _touched(g, build_gadget(family, **params))
+                assert touched <= owner, (key, base, params)
+                if touched:
+                    seen.add(key)
+    assert seen == {*alice_inputs, *bob_inputs}
+
+
+@pytest.mark.parametrize("family", sorted(_NO_CUT))
+def test_gadget_cut_refuses_gadgets_without_a_two_party_layout(family):
+    build_gadget(family, **_NO_CUT[family])
+    with pytest.raises(InvalidInstanceError, match=family):
+        gadget_cut(family, **_NO_CUT[family])
 
 
 def test_disj_on_path_shape():

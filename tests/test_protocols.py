@@ -38,6 +38,7 @@ from artifact.protocols import (
     sweep,
 )
 from artifact.transforms import normalize_lb, tomdf_bcc_decider, triangle_freeness_via_tomdf
+from test_engine import Recording
 
 
 def outcome(name, graph, seed=0):
@@ -839,9 +840,9 @@ def test_k_pclp_rebuilds_the_path_once(monkeypatch):
 
 def _round1_inbox(name, g):
     """The round-1 broadcasts of protocol `name` on g, as every node sees them."""
-    named = proto_registry(name)
-    result = run(named.protocol, g, Schedule.parse("B"), record=False)
-    return result.final_inboxes[g.nodes[0]]
+    recording = Recording(proto_registry(name).protocol)
+    run(recording, g, Schedule.parse("B"), record=False)
+    return recording.inboxes[g.nodes[0]]
 
 
 # two instances each whose round-1 inboxes and verdicts differ

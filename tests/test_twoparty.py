@@ -8,7 +8,7 @@ import pytest
 
 from artifact import twoparty
 from artifact._bits import bit_strings
-from artifact.graphs import build_clique_bridge, build_xor_index_path
+from artifact.graphs import build_gadget, build_xor_index_path, gadget_cut
 from artifact.languages import pointer_chase
 from artifact.protocols import proto_registry
 from artifact.twoparty import (
@@ -344,10 +344,11 @@ def test_cut_requires_a_partition():
 
 def test_cut_on_the_index_path():
     n = 8
-    g = build_xor_index_path(n, "10110010", "01100101", 3, 6)
+    params = dict(n=n, x="10110010", y="01100101", i=3, j=6)
+    g = build_gadget("xor-index-path", **params)
     named = proto_registry("xor-index-path")
-    alice = frozenset(range(1, n + 2))
-    bob = frozenset(range(n + 2, 2 * n + 2))
+    alice = gadget_cut("xor-index-path", **params)
+    bob = frozenset(g.nodes) - alice
     accounted = frozenset({1, n - 1, n, n + 1, n + 2, n + 3, 2 * n + 1})
     report, result = cut_communication(named, g, CutConfig(alice, bob, accounted))
     # the metered endpoints exchange a bounded number of capped messages
@@ -360,9 +361,11 @@ def test_cut_on_the_index_path():
 
 
 def test_cut_empty_accounted_is_zero():
-    g = build_xor_index_path(2, "10", "01", 1, 2)
+    params = dict(n=2, x="10", y="01", i=1, j=2)
+    g = build_gadget("xor-index-path", **params)
     named = proto_registry("xor-index-path")
-    cfg = CutConfig(frozenset({1, 2, 3}), frozenset({4, 5}), frozenset())
+    alice = gadget_cut("xor-index-path", **params)
+    cfg = CutConfig(alice, frozenset(g.nodes) - alice, frozenset())
     report, _ = cut_communication(named, g, cfg)
     assert report.total == 0
 
@@ -372,9 +375,10 @@ def test_cut_grows_gently_on_clique_bridge():
     totals = {}
     for n in (4, 6, 8):
         m = n * (n - 1) // 2
-        g = build_clique_bridge(n, "1" + "0" * (m - 1), "0" * (m - 1) + "1", 1, m)
-        alice = frozenset(list(range(1, n + 1)) + [2 * n + 1, 2 * n + 2])
-        bob = frozenset(set(g.nodes) - alice)
+        params = dict(n=n, x="1" + "0" * (m - 1), y="0" * (m - 1) + "1", i=1, j=m)
+        g = build_gadget("clique-bridge", **params)
+        alice = gadget_cut("clique-bridge", **params)
+        bob = frozenset(g.nodes) - alice
         report, _ = cut_communication(named, g, CutConfig(alice, bob, frozenset(g.nodes)))
         totals[n] = report.total
     from artifact.engine import default_bandwidth
