@@ -18,7 +18,11 @@ only on the record's value, never on which sub-objects it shares.
 Decoding that depends only on a shared broadcast inbox, not on the node
 reading it, happens once per round: it is a pure function of the inbox's
 value, memoised by value in one slot (`_last_inbox_memo`), so every node
-after the first looks the result up without hashing the inbox again.
+after the first looks the result up without hashing the inbox again. The
+readers that do so are xor-index-path's path (`xor_path_structure`), the
+k-pclp round-1 digest (`kpclp_round1_structure`), tomdf's maximum degree
+(`_max_count`) and one-marked-edge's count total (`_count_total`); the
+broadcast-row deciders of `transforms` share the same memo.
 """
 
 from __future__ import annotations
@@ -61,12 +65,14 @@ def _deg_code(d: int) -> str:
 
 def _last_inbox_memo(decode):
     """Memoise `decode(inbox, w)` for the last inbox seen: a lookup hits when
-    the inbox is that very object or equal to it, under the same w, so the
-    result depends on values only and a hit costs no hashing of the inbox."""
+    the inbox is that very object or equal to it, under an equal w (a width,
+    or any value the decoding also depends on), so the result depends on
+    values only and a hit costs no hashing of the inbox. Every node reading
+    the inbox gets the same result object, so it must be read-only."""
     last: list = [None, None, None]  # inbox, w, result
 
     @wraps(decode)
-    def memo(inbox: Inbox, w: int):
+    def memo(inbox, w):
         seen, seen_w, result = last
         if w == seen_w and (inbox is seen or inbox == seen):
             return result
@@ -96,6 +102,21 @@ def decode_counts(inbox: Inbox, width: int) -> dict[int, int] | None:
             return None
         counts[sender] = decode_int(msg)
     return counts
+
+
+@_last_inbox_memo
+def _count_total(inbox: Inbox, width: int) -> int | None:
+    """The sum of the `width`-bit counts; None if a message has another width."""
+    counts = decode_counts(inbox, width)
+    return None if counts is None else sum(counts.values())
+
+
+@_last_inbox_memo
+def _max_count(inbox: Inbox, width: int) -> int | None:
+    """The largest `width`-bit count; None if a message has another width or
+    the inbox is empty."""
+    counts = decode_counts(inbox, width)
+    return max(counts.values()) if counts else None
 
 
 @lru_cache(maxsize=64)
@@ -153,10 +174,7 @@ class OneMarkedEdgeProtocol(Protocol):
         return state, encode_int(count, _count_width(state["n"]))
 
     def decide(self, state, inbox):
-        if not state["ok"]:
-            return False
-        counts = decode_counts(inbox, _count_width(state["n"]))
-        return counts is not None and sum(counts.values()) == 2
+        return state["ok"] and _count_total(inbox, _count_width(state["n"])) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +313,11 @@ class TomdfProtocol(Protocol):
         if index == 1:
             return state, encode_int(len(view.neighbors), state["wd"])
         # only round 2 reads round-1 degrees; an empty inbox names no maximum
-        degs = decode_counts(inbox, state["wd"]) if index == 2 else None
-        if not degs:
+        delta = _max_count(inbox, state["wd"]) if index == 2 else None
+        if delta is None:
             state["bad"] = True
             return state, {}
-        state["delta"] = max(degs.values())
+        state["delta"] = delta
         listing = encode_ids(view.neighbors, state["w"])
         return state, {u: listing for u in view.neighbors}
 

@@ -21,6 +21,7 @@ round of full-state traffic, which an unbounded round permits.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from ._bits import count_width as _count_width, encode_int
 from ._codec import bytes_to_obj, obj_to_bytes
@@ -31,7 +32,7 @@ from .engine import (
     Schedule,
     default_bandwidth,
 )
-from .protocols import NamedProtocol, decode_counts, tomdf_holds_at
+from .protocols import NamedProtocol, _last_inbox_memo, decode_counts, tomdf_holds_at
 
 
 class UnsupportedScheduleError(ValueError):
@@ -155,6 +156,40 @@ def _chunks(bits: str, size: int) -> list[str]:
     return [bits[i : i + size] for i in range(0, len(bits), size)] or [""]
 
 
+@_last_inbox_memo
+def _row_plan(inbox, width_pad: tuple[int, bool]):
+    """What a round-1 degree inbox fixes for every node: (pendants per host,
+    padded rank order), or None if a degree does not frame in `width` bits.
+    Without `pad` every host has no pendants."""
+    width, pad = width_pad
+    degrees = decode_counts(inbox, width)
+    if degrees is None:
+        return None
+    pendants = _pendant_assignment(degrees) if pad else dict.fromkeys(degrees, ())
+    padded = sorted(set(degrees) | {p for ps in pendants.values() for p in ps})
+    return MappingProxyType(pendants), tuple(padded)
+
+
+@_last_inbox_memo
+def _padded_graph(heard, plan):
+    """The padded graph that the row pieces in `heard` (the broadcast inboxes
+    after the degree round, in round order) spell out under `plan`: (node ->
+    frozenset of neighbours, maximum degree), or None if a real node's row
+    does not have one bit per padded node."""
+    pendants, padded = plan
+    rows: dict[int, str] = {}
+    for inbox in heard:
+        for v, msg in inbox:
+            rows[v] = rows.get(v, "") + msg
+    if any(len(rows.get(v, "")) != len(padded) for v in pendants):
+        return None
+    adj = {v: frozenset(padded[i] for i, b in enumerate(rows[v]) if b == "1") for v in pendants}
+    for host, ps in pendants.items():
+        for p in ps:
+            adj[p] = frozenset((host,))
+    return MappingProxyType(adj), max(map(len, adj.values()))
+
+
 class BroadcastRowDecider(Protocol):
     """Broadcast-only decider for the no-triangle-on-max-degree property:
     degrees first, then everyone's adjacency row (over rank order) in pieces
@@ -163,7 +198,12 @@ class BroadcastRowDecider(Protocol):
     the padded graph, which decides triangle-freeness: each real node answers
     for itself and for its own pendants. Pendant rows are public knowledge, so
     only real rows travel; the padded schedule runs at `composed_bandwidth`.
-    Without `pad` every node has no pendants and the cap is the default."""
+    Without `pad` every node has no pendants and the cap is the default.
+
+    Every node hears the same broadcasts, so the plan (`_row_plan`) and the
+    padded graph (`_padded_graph`) are decoded once per run, memoised by
+    value; a node keeps only its own row pieces and the inboxes it heard,
+    and tests only itself and its pendants."""
 
     def __init__(self, pad: bool):
         self.pad = pad
@@ -174,7 +214,8 @@ class BroadcastRowDecider(Protocol):
             "nbrs": set(view.neighbors),
             "n": view.n,
             "plan": None,  # (pendants per host, padded rank order)
-            "rows": {},
+            "pieces": (),  # my row, cut to the cap
+            "heard": (),  # the row-piece inboxes, one per round after round 2
         }
 
     def round(self, state, index, kind, inbox):
@@ -182,39 +223,29 @@ class BroadcastRowDecider(Protocol):
         if index == 1:
             return state, encode_int(len(state["nbrs"]), _count_width(n))
         if index == 2:
-            degrees = decode_counts(inbox, _count_width(n))
-            if degrees is None:
+            plan = _row_plan(inbox, (_count_width(n), self.pad))
+            if plan is None:
                 return state, ""
-            pendants = _pendant_assignment(degrees) if self.pad else dict.fromkeys(degrees, ())
-            padded = sorted(set(degrees) | {p for ps in pendants.values() for p in ps})
-            state = dict(state, plan=(pendants, tuple(padded)))
-        if state["plan"] is None:
+            pendants, padded = plan
+            mine = state["nbrs"] | set(pendants[state["me"]])
+            row = "".join("1" if u in mine else "0" for u in padded)
+            cap = composed_bandwidth(n) if self.pad else default_bandwidth(n)
+            state.update(plan=plan, pieces=tuple(_chunks(row, cap)))
+        elif state["plan"] is None:
             return state, ""
-        pendants, padded = state["plan"]
-        mine = state["nbrs"] | set(pendants[state["me"]])
-        row = "".join("1" if u in mine else "0" for u in padded)
-        cap = composed_bandwidth(n) if self.pad else default_bandwidth(n)
-        pieces = _chunks(row, cap)
-        chunk = pieces[index - 2] if index - 2 < len(pieces) else ""
-        for v, msg in inbox if index > 2 else ():
-            state["rows"][v] = state["rows"].get(v, "") + msg
-        return state, chunk
+        else:
+            state["heard"] += (inbox,)
+        pieces = state["pieces"]
+        return state, pieces[index - 2] if index - 2 < len(pieces) else ""
 
     def decide(self, state, inbox):
         if state["plan"] is None:
             return False
-        for v, msg in inbox:
-            state["rows"][v] = state["rows"].get(v, "") + msg
-        pendants, padded = state["plan"]
-        rows = state["rows"]
-        real = sorted(pendants)
-        if any(len(rows.get(v, "")) != len(padded) for v in real):
+        padded_graph = _padded_graph((*state["heard"], inbox), state["plan"])
+        if padded_graph is None:
             return False
-        adj = {v: {padded[i] for i, b in enumerate(rows[v]) if b == "1"} for v in real}
-        for host, ps in pendants.items():
-            for p in ps:
-                adj[p] = {host}
-        delta = max(len(s) for s in adj.values())
+        adj, delta = padded_graph
+        pendants = state["plan"][0]
         return all(
             tomdf_holds_at(sorted(adj[v]), delta, adj)
             for v in (state["me"], *pendants[state["me"]])

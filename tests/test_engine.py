@@ -75,6 +75,8 @@ def test_default_bandwidth():
 def test_round_kind_chars():
     for kind in RoundKind:
         assert RoundKind.from_char(kind.char) is kind
+        assert kind.char == kind.value and RoundKind(kind.char) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
     with pytest.raises(ValueError):
         RoundKind.from_char("X")
 

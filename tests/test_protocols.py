@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
-from artifact import protocols
+from artifact import protocols, transforms
 from artifact._bits import id_width
 from artifact.engine import BandwidthViolationError, EngineError, Protocol, Schedule, run
 from artifact.graphs import (
@@ -33,6 +33,7 @@ from artifact.protocols import (
     FullStateStressProtocol,
     NamedProtocol,
     XorIndexPathProtocol,
+    decode_counts,
     proto_registry,
     protocol_ids,
     sweep,
@@ -457,6 +458,27 @@ def test_run_digests_are_pinned(row, size):
     assert _run_digests(row, size) == (RUN_DIGESTS[row, size], VERDICT_DIGESTS[row, size])
 
 
+# what every node sends in the all-graphs rows: sha256 over each run's
+# `Transcript.to_json()`, every payload included, over all_graphs(n), n <= 4;
+# RUN_DIGESTS would miss a payload that changed but kept its size
+TRANSCRIPT_DIGESTS = {
+    ("tomdf-bcc", 4): "d47eb43fb1b473874af0f772436f05ae81cd63d748ef9f917ac5f7f979927644",
+    ("triangle-freeness-via-tomdf", 4): "e5c80eca7d80344213a7a8ec8d5e34b29ca30cd4b06ab51489013de0becc93d8",
+    ("normalized-tomdf", 4): "08e55d1bbe6be2641141e8d463033cd0e93a0860ee2b0373b644b60b22963188",
+}
+
+
+@pytest.mark.parametrize("row,size", list(TRANSCRIPT_DIGESTS))
+def test_transcripts_are_pinned(row, size):
+    build = _ALL_GRAPHS_ROWS[row]
+    h = hashlib.sha256()
+    for n in range(1, size + 1):
+        named = build(n)
+        for g in all_graphs(n):
+            h.update(run(named.protocol, g, named.schedule).transcript.to_json().encode())
+    assert h.hexdigest() == TRANSCRIPT_DIGESTS[row, size]
+
+
 # large instances, where one node's work grows with the path: seeded
 # well-formed instances and one of each kind of malformation per size
 
@@ -836,6 +858,54 @@ def test_k_pclp_rebuilds_the_path_once(monkeypatch):
     monkeypatch.setattr(protocols, "path_order", counting)
     assert outcome("k-pclp:k=3", g).accept == membership("k-pclp:k=3", g)
     assert len(calls) == 1
+
+
+# a triangle at the node of maximum degree: out of tomdf and not triangle-free
+_TRIANGLE_AT_MAX = LabeledGraph([1, 2, 3, 4, 5], [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)])
+
+
+@pytest.mark.parametrize(
+    "row,g,other",
+    [
+        ("one-marked-edge", marked_path("01100"), marked_path("00000")),
+        ("tomdf", _TRIANGLE_AT_MAX, path_graph(5)),
+        ("normalized-tomdf", _TRIANGLE_AT_MAX, path_graph(5)),
+        ("tomdf-bcc", _TRIANGLE_AT_MAX, path_graph(5)),
+        ("triangle-freeness-via-tomdf", _TRIANGLE_AT_MAX, path_graph(5)),
+    ],
+)
+def test_count_readers_decode_each_broadcast_once(row, g, other, monkeypatch):
+    named = _ALL_GRAPHS_ROWS[row](g.n) if row in _ALL_GRAPHS_ROWS else proto_registry(row)
+    run(named.protocol, other, named.schedule)  # some other count inbox first
+    calls = []
+
+    def counting(inbox, width):
+        calls.append(inbox)
+        return decode_counts(inbox, width)
+
+    monkeypatch.setattr(protocols, "decode_counts", counting)
+    monkeypatch.setattr(transforms, "decode_counts", counting)
+    verdict = run(named.protocol, g, named.schedule, record=False).verdict
+    assert verdict.accept == membership(named.language, g)
+    assert len(calls) == 1  # one count inbox per run, decoded once, not once per node
+
+
+def test_last_inbox_memo_never_returns_a_stale_result():
+    calls = []
+
+    @protocols._last_inbox_memo
+    def decode(inbox, w):
+        calls.append((inbox, w))
+        return inbox, w
+
+    a, b = ((1, "01"), (2, "10")), ((1, "01"), (2, "11"))
+    a_copy = tuple(list(a))
+    assert a_copy is not a and a_copy == a
+    sequence = [(a, 1), (b, 1), (a, 1), (a, 2), (a, 1), (a_copy, 1), (b, 2), (b, 1), (b, 1)]
+    for inbox, w in sequence:
+        assert decode(inbox, w) == (inbox, w)
+    # decoded anew exactly when the inbox's value or w changed
+    assert len(calls) == 1 + sum(x != y for x, y in zip(sequence, sequence[1:]))
 
 
 def _round1_inbox(name, g):

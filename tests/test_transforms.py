@@ -1,7 +1,9 @@
 import itertools
+from types import MappingProxyType
 
 import pytest
 
+from artifact import transforms
 from artifact.engine import RoundKind, Schedule, run
 from artifact.graphs import LabeledGraph, all_graphs, cycle_graph, random_labeled_graph
 from artifact.languages import membership
@@ -135,6 +137,44 @@ def test_composed_bandwidth_is_twice_default():
 
     for n in (2, 5, 16, 33):
         assert composed_bandwidth(n) == 2 * default_bandwidth(n)
+
+
+def test_shared_plan_and_padded_graph_are_read_only():
+    # the path 1-2-3: degrees 1, 2, 1 in 2-bit fields; the ends get pendants 4, 5
+    plan = transforms._row_plan(((1, "01"), (2, "10"), (3, "01")), (2, True))
+    assert plan == ({1: (4,), 2: (), 3: (5,)}, (1, 2, 3, 4, 5))
+    assert isinstance(plan[0], MappingProxyType)
+    rows = ((1, "01010"), (2, "10100"), (3, "01001"))
+    adj, delta = transforms._padded_graph((rows,), plan)
+    assert delta == 2 and isinstance(adj, MappingProxyType)
+    assert adj == {1: {2, 4}, 2: {1, 3}, 3: {2, 5}, 4: {1}, 5: {3}}
+    assert all(isinstance(nbrs, frozenset) for nbrs in adj.values())
+    # a row one bit short spells no padded graph
+    assert transforms._padded_graph(((rows[0], rows[1], (3, "0100")),), plan) is None
+
+
+# a triangle away from the node of maximum degree: in tomdf, not triangle-free
+TRIANGLE_BELOW_MAX = LabeledGraph(range(1, 8), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7)])
+
+
+def test_interleaved_deciders_keep_their_own_plans():
+    # on one graph all three hear the same degree inbox, and the two
+    # broadcast-row deciders differ only in whether they pad; the triangle
+    # reduction runs both before and after tomdf-bcc
+    tomdf = proto_registry("tomdf")
+    normalized = normalize_lb(tomdf.protocol, tomdf.schedule)
+    g7 = TRIANGLE_BELOW_MAX
+    assert membership("tomdf", g7) and not membership("triangle-freeness", g7)
+    for g in itertools.chain(*(all_graphs(n) for n in range(1, 5)), [g7]):
+        triangle, bcc = triangle_freeness_via_tomdf(g.n), tomdf_bcc_decider(g.n)
+        for protocol, schedule, language in (
+            (triangle.protocol, triangle.schedule, triangle.language),
+            (bcc.protocol, bcc.schedule, bcc.language),
+            (*normalized, "tomdf"),
+            (triangle.protocol, triangle.schedule, triangle.language),
+        ):
+            got = run(protocol, g, schedule, record=False).verdict.accept
+            assert got == membership(language, g), (language, g)
 
 
 def test_triangle_freeness_via_tomdf_matches_oracle():
