@@ -116,11 +116,13 @@ def _generate(spec: str) -> tuple[LabeledGraph, tuple[str, dict] | None]:
         builder = {"path": path_graph, "cycle": cycle_graph, "clique": clique_graph}
         return builder[family](size), None
     if family == "random":
-        size = int(positional[0]) if positional else int(kv.pop("n"))
+        size = positional[0] if positional else kv.pop("n", None)
+        if size is None:
+            raise InvalidInstanceError("random generator needs a size")
         seed = int(kv.pop("seed", "0"))
         if kv:
             raise InvalidInstanceError(f"unexpected parameters in {spec!r}")
-        return random_labeled_graph(size, seed), None
+        return random_labeled_graph(int(size), seed), None
     if positional:
         raise InvalidInstanceError(
             f"{family!r} takes named parameters only, got {positional}"
@@ -149,8 +151,10 @@ def parse_node_set(text: str, nodes: tuple[int, ...]) -> frozenset[int]:
         if not item:
             continue
         if "-" in item:
-            lo, _, hi = item.partition("-")
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, item.split("-", 1))
+            if lo > hi:
+                raise InvalidInstanceError(f"node range {item!r} runs backwards")
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(item))
     bad = out - set(nodes)

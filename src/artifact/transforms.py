@@ -9,13 +9,14 @@ Two constructions live here:
   virtual pendant leaves until all degrees match and running a broadcast-only
   decider for the max-degree-triangle property on the padded graph.
 
-The swap works by deferral: in the new early unbounded round each node ships
-its whole pre-round state (and pending deliveries) to its neighbors, then
-everyone replays the displaced rounds of every neighbor locally. Verdicts are
-preserved exactly because the replay feeds the inner protocol byte-identical
-inboxes: the state codec (`_codec`) depends on values only, so a decoded
-neighbor state re-encodes to the bytes it was sent as. The swap costs one
-round of full-state traffic, which an unbounded round permits.
+The swap works by shipping state: in the new early unbounded round each node
+runs the displaced broadcast round, holds its broadcast and ships the state it
+leaves to its neighbors, which replay that node's displaced unbounded round
+once the broadcasts are in. Verdicts are preserved exactly because every inner
+call gets byte-identical inputs: the broadcast round is the same call one
+round earlier, and the state codec (`_codec`) depends on values only, so a
+decoded neighbor state re-encodes to the bytes it was sent as. The swap costs
+one round of full-state traffic, which an unbounded round permits.
 """
 
 from __future__ import annotations
@@ -50,21 +51,23 @@ class _SwappedProtocol(Protocol):
 
     def init(self, view: NodeView):
         # (me, neighbours, data): data is the inner state, except that after
-        # round t it is (inner state, stashed inbox) and after round t+1 it is
-        # (inner state after the displaced B round, neighbours' payloads)
+        # round t it is (inner state after the displaced B round, the
+        # broadcast that round made) and after round t+1 it is (that state,
+        # the states the neighbours shipped)
         return view.node, view.neighbors, self.inner.init(view)
 
-    def _replay_neighbors(self, me, payloads, bcast_inbox):
-        """Recompute each neighbor's displaced B and L rounds and collect the
-        unbounded-round messages they would have addressed to this node."""
-        t = self.t
+    def _resume(self, me, data, bcast_inbox):
+        """Run the displaced L round for this node and for every neighbour;
+        return this node's state after it and the inbox it would have had."""
+        state_t, payloads = data
+        step = self.t + 1, RoundKind.LOCAL, bcast_inbox
+        state_t1, _ = self.inner.round(state_t, *step)
         got = []
-        for sender, (st_u, inbox_u) in payloads.items():
-            st_u, _ = self.inner.round(st_u, t, RoundKind.BCC, inbox_u)
-            _, out_u = self.inner.round(st_u, t + 1, RoundKind.LOCAL, bcast_inbox)
+        for sender, st_u in payloads.items():
+            _, out_u = self.inner.round(st_u, *step)
             if me in out_u:
                 got.append((sender, out_u[me]))
-        return tuple(sorted(got))
+        return state_t1, tuple(sorted(got))
 
     def round(self, state, index, kind, inbox):
         t = self.t
@@ -73,19 +76,17 @@ class _SwappedProtocol(Protocol):
             data, out = self.inner.round(data, index, self.kinds[index - 1], inbox)
             return (me, nbrs, data), out
         if index == t:
-            # the new unbounded round: ship full state + pending deliveries
-            payload = obj_to_bytes((data, inbox))
-            return (me, nbrs, (data, inbox)), {u: payload for u in nbrs}
+            # the new unbounded round: run the displaced B round, hold its
+            # broadcast and ship the state it leaves
+            state_t, out_b = self.inner.round(data, t, RoundKind.BCC, inbox)
+            payload = obj_to_bytes(state_t)
+            return (me, nbrs, (state_t, out_b)), {u: payload for u in nbrs}
         if index == t + 1:
-            # the displaced broadcast, computed from the stashed inbox
-            inner, stash = data
+            # the displaced broadcast
+            state_t, out_b = data
             payloads = {u: bytes_to_obj(msg) for u, msg in inbox}
-            state_t, out_b = self.inner.round(inner, t, RoundKind.BCC, stash)
             return (me, nbrs, (state_t, payloads)), out_b
-        # index == t + 2: replay the displaced unbounded round, then resume
-        state_t, payloads = data
-        state_t1, _ = self.inner.round(state_t, t + 1, RoundKind.LOCAL, inbox)
-        inner_inbox = self._replay_neighbors(me, payloads, inbox)
+        state_t1, inner_inbox = self._resume(me, data, inbox)
         data, out = self.inner.round(state_t1, t + 2, self.kinds[t + 1], inner_inbox)
         return (me, nbrs, data), out
 
@@ -93,9 +94,7 @@ class _SwappedProtocol(Protocol):
         me, _, data = state
         if len(self.kinds) == self.t + 1:
             # the swapped pair was the tail of the schedule
-            state_t, payloads = data
-            state_t1, _ = self.inner.round(state_t, self.t + 1, RoundKind.LOCAL, inbox)
-            return self.inner.decide(state_t1, self._replay_neighbors(me, payloads, inbox))
+            return self.inner.decide(*self._resume(me, data, inbox))
         return self.inner.decide(data, inbox)
 
 
@@ -124,15 +123,10 @@ def normalize_lb(protocol: Protocol, schedule: Schedule) -> tuple[Protocol, Sche
     if any(k is RoundKind.CONGEST for k in schedule.kinds):
         raise UnsupportedScheduleError("schedules with capped rounds are not supported")
     while True:
-        kinds = schedule.kinds
-        spots = [
-            t
-            for t in range(1, len(kinds))
-            if kinds[t - 1] is RoundKind.BCC and kinds[t] is RoundKind.LOCAL
-        ]
-        if not spots:
+        t = "".join(k.char for k in schedule.kinds).rfind("BL")
+        if t < 0:
             return protocol, schedule
-        protocol, schedule = swap_bl_to_lb(protocol, schedule, spots[-1])
+        protocol, schedule = swap_bl_to_lb(protocol, schedule, t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ def test_simulate_rejects_bad_instance_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_random_without_size_is_an_error_exit(capsys):
+    assert main(["simulate", "--protocol", "tomdf", "--gen", "random"]) == 2
+    assert "random generator needs a size" in capsys.readouterr().err
+
+
 def test_simulate_needs_exactly_one_source(capsys):
     assert main(["simulate", "--protocol", "tomdf"]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -163,6 +168,8 @@ def test_parse_generator_errors():
         parse_generator("mystery:3")
     with pytest.raises(InvalidInstanceError):
         parse_generator("path:3:wibble=1")
+    with pytest.raises(InvalidInstanceError):
+        parse_generator("random")  # no size, positional or n=
 
 
 def test_parse_node_set():
@@ -171,6 +178,8 @@ def test_parse_node_set():
     assert parse_node_set("10", nodes) == frozenset({10})
     with pytest.raises(InvalidInstanceError):
         parse_node_set("11", nodes)
+    with pytest.raises(InvalidInstanceError):
+        parse_node_set("9-1", nodes)  # a reversed range is not an empty one
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
 
 from artifact import transforms
-from artifact.engine import RoundKind, Schedule, run
+from artifact._codec import obj_to_bytes
+from artifact.engine import Protocol, RoundKind, Schedule, run
 from artifact.graphs import LabeledGraph, all_graphs, cycle_graph, random_labeled_graph
 from artifact.languages import membership
 from artifact.protocols import FullStateStressProtocol, proto_registry
@@ -23,6 +25,43 @@ def verdicts_match(proto_a, sched_a, proto_b, sched_b, graph, seed=0):
     a = run(proto_a, graph, sched_a, seed=seed, record=False).verdict
     b = run(proto_b, graph, sched_b, seed=seed, record=False).verdict
     return a.accept == b.accept and a.rejectors == b.rejectors
+
+
+class Recorder(Protocol):
+    """Passes every call to `inner`, counts its rounds by (index, kind) and
+    logs what each node's `decide` gets, as (node, bytes of (inner state,
+    inbox)). Only the node itself decides; a swap's replays never do."""
+
+    def __init__(self, inner: Protocol):
+        self.inner = inner
+        self.calls = Counter()
+        self.log = []
+
+    def init(self, view):
+        return view.node, self.inner.init(view)
+
+    def round(self, state, index, kind, inbox):
+        self.calls[index, kind] += 1
+        me, inner_state = state
+        inner_state, out = self.inner.round(inner_state, index, kind, inbox)
+        return (me, inner_state), out
+
+    def decide(self, state, inbox):
+        me, inner_state = state
+        self.log.append((me, obj_to_bytes((inner_state, inbox))))
+        return self.inner.decide(inner_state, inbox)
+
+
+def normalized_run_matches(inner, sched, graph, seed=0):
+    """Whether `inner` on `sched` and on its normalization reach the same
+    verdict with the same input to every node's `decide`. The stress state's
+    trail holds every inbox, so for it this pins byte-identical inner inboxes
+    in every round."""
+    original, swapped = Recorder(inner), Recorder(inner)
+    norm, nsched = normalize_lb(swapped, sched)
+    assert "BL" not in "".join(k.char for k in nsched)
+    same = verdicts_match(original, sched, norm, nsched, graph, seed=seed)
+    return same and sorted(original.log) == sorted(swapped.log)
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +132,30 @@ def test_normalize_preserves_stress_verdicts_on_every_small_schedule(text):
     # and of length 5 with at most three; full-state payloads make any
     # identity-dependent encoding show up here
     sched = Schedule.parse(text)
-    proto = FullStateStressProtocol()
-    norm, nsched = normalize_lb(proto, sched)
-    assert "BL" not in "".join(k.char for k in nsched)
     for seed in range(10):
         g = random_labeled_graph(2 + seed % 5, seed)
-        assert verdicts_match(proto, sched, norm, nsched, g, seed=seed), seed
+        assert normalized_run_matches(FullStateStressProtocol(), sched, g, seed=seed), seed
 
 
 def test_normalize_preserves_tomdf_on_its_native_schedule():
     named = proto_registry("tomdf")
-    norm, nsched = normalize_lb(named.protocol, named.schedule)
-    assert nsched.text == "L,B"
-    for g in all_graphs(4):
-        assert verdicts_match(named.protocol, named.schedule, norm, nsched, g)
+    assert normalize_lb(named.protocol, named.schedule)[1].text == "L,B"
+    for g in itertools.chain(*(all_graphs(n) for n in range(1, 5))):
+        assert normalized_run_matches(named.protocol, named.schedule, g), g
+
+
+@pytest.mark.parametrize("text", ["B,L", "B,L,B"])
+def test_swap_runs_each_broadcast_round_once_per_node(text):
+    # every node runs the displaced B round itself; only its L round is
+    # replayed, once at each neighbour
+    g = random_labeled_graph(5, 3)
+    n, degree_sum = g.n, sum(g.degree(v) for v in g.nodes)
+    assert degree_sum > 0
+    recorder = Recorder(FullStateStressProtocol())
+    norm, nsched = normalize_lb(recorder, Schedule.parse(text))
+    run(norm, g, nsched, record=False)
+    assert recorder.calls[1, RoundKind.BCC] == n
+    assert recorder.calls[2, RoundKind.LOCAL] == n + degree_sum
 
 
 # ---------------------------------------------------------------------------
