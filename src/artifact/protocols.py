@@ -300,8 +300,9 @@ class TomdfProtocol(Protocol):
     degree matches the global maximum and two of its neighbors are adjacent."""
 
     def init(self, view: NodeView):
+        # only what the rounds read: the B/L swap ships this state whole
         return {
-            "view": view,
+            "nbrs": view.neighbors,
             "w": id_width(view.big_n),
             "wd": _count_width(view.n),
             "delta": None,
@@ -309,29 +310,29 @@ class TomdfProtocol(Protocol):
         }
 
     def round(self, state, index, kind, inbox):
-        view: NodeView = state["view"]
+        nbrs = state["nbrs"]
         if index == 1:
-            return state, encode_int(len(view.neighbors), state["wd"])
+            return state, encode_int(len(nbrs), state["wd"])
         # only round 2 reads round-1 degrees; an empty inbox names no maximum
         delta = _max_count(inbox, state["wd"]) if index == 2 else None
         if delta is None:
             state["bad"] = True
             return state, {}
         state["delta"] = delta
-        listing = encode_ids(view.neighbors, state["w"])
-        return state, {u: listing for u in view.neighbors}
+        listing = encode_ids(nbrs, state["w"])
+        return state, {u: listing for u in nbrs}
 
     def decide(self, state, inbox):
         if state["bad"]:
             return False
-        view: NodeView = state["view"]
-        if len(view.neighbors) != state["delta"]:
+        nbrs = state["nbrs"]
+        if len(nbrs) != state["delta"]:
             return True
         w = state["w"]
         if any(len(msg) % w for _, msg in inbox):
             return False
         nbr_lists = {sender: decode_ids(msg, w) for sender, msg in inbox}
-        return tomdf_holds_at(view.neighbors, state["delta"], nbr_lists)
+        return tomdf_holds_at(nbrs, state["delta"], nbr_lists)
 
 
 # ---------------------------------------------------------------------------

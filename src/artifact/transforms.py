@@ -11,12 +11,15 @@ Two constructions live here:
 
 The swap works by shipping state: in the new early unbounded round each node
 runs the displaced broadcast round, holds its broadcast and ships the state it
-leaves to its neighbors, which replay that node's displaced unbounded round
-once the broadcasts are in. Verdicts are preserved exactly because every inner
-call gets byte-identical inputs: the broadcast round is the same call one
-round earlier, and the state codec (`_codec`) depends on values only, so a
-decoded neighbor state re-encodes to the bytes it was sent as. The swap costs
-one round of full-state traffic, which an unbounded round permits.
+leaves to its neighbors. Once the broadcasts are in, each shipped state is
+decoded and its displaced unbounded round replayed once; the outbox it makes
+is memoised by value on (broadcast inbox, shipped bytes) and shared, read-only,
+by every receiver of that state. Verdicts are preserved exactly because every
+inner call gets byte-identical inputs: the broadcast round is the same call
+one round earlier, and the state codec (`_codec`) depends on values only, so a
+decoded neighbor state re-encodes to the bytes it was sent as, and equal bytes
+replay to equal outboxes. The swap costs one round of full-state traffic,
+which an unbounded round permits.
 """
 
 from __future__ import annotations
@@ -48,26 +51,45 @@ class _SwappedProtocol(Protocol):
         self.inner = inner
         self.kinds = kinds
         self.t = t
+        # the last round-t+1 broadcast inbox seen, and the displaced L round's
+        # outbox replayed under it for each shipped state, keyed by its bytes;
+        # it outlives a run, which is sound because a replay depends on values
+        # only
+        self._replays = (None, {})
 
     def init(self, view: NodeView):
         # (me, neighbours, data): data is the inner state, except that after
         # round t it is (inner state after the displaced B round, the
         # broadcast that round made) and after round t+1 it is (that state,
-        # the states the neighbours shipped)
+        # the inbox of states the neighbours shipped, still as bytes: each is
+        # decoded and replayed once, shared by value among its receivers)
         return view.node, view.neighbors, self.inner.init(view)
 
     def _resume(self, me, data, bcast_inbox):
-        """Run the displaced L round for this node and for every neighbour;
-        return this node's state after it and the inbox it would have had."""
-        state_t, payloads = data
+        """Run this node's displaced L round, and take the message addressed to
+        this node from each neighbour's; return this node's state after the
+        round and the inbox it would have had. Each shipped state is decoded
+        and its round replayed once per distinct (broadcast inbox, shipped
+        bytes) value, and every receiver reads the one outbox, so it must stay
+        read-only; as in `protocols._last_inbox_memo`, a hit does not hash the
+        inbox."""
+        state_t, shipped = data
         step = self.t + 1, RoundKind.LOCAL, bcast_inbox
         state_t1, _ = self.inner.round(state_t, *step)
+        seen, outboxes = self._replays
+        if bcast_inbox is not seen:
+            if bcast_inbox != seen:
+                outboxes = {}
+            self._replays = bcast_inbox, outboxes
         got = []
-        for sender, st_u in payloads.items():
-            _, out_u = self.inner.round(st_u, *step)
+        for sender, payload in shipped:
+            out_u = outboxes.get(payload)
+            if out_u is None:
+                out_u = outboxes[payload] = self.inner.round(bytes_to_obj(payload), *step)[1]
             if me in out_u:
                 got.append((sender, out_u[me]))
-        return state_t1, tuple(sorted(got))
+        # the shipped inbox is sorted by sender, and so is what it yields
+        return state_t1, tuple(got)
 
     def round(self, state, index, kind, inbox):
         t = self.t
@@ -84,8 +106,7 @@ class _SwappedProtocol(Protocol):
         if index == t + 1:
             # the displaced broadcast
             state_t, out_b = data
-            payloads = {u: bytes_to_obj(msg) for u, msg in inbox}
-            return (me, nbrs, (state_t, payloads)), out_b
+            return (me, nbrs, (state_t, inbox)), out_b
         state_t1, inner_inbox = self._resume(me, data, inbox)
         data, out = self.inner.round(state_t1, t + 2, self.kinds[t + 1], inner_inbox)
         return (me, nbrs, data), out

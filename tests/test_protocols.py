@@ -376,11 +376,12 @@ def test_reconstruct_path_single_node():
 # suite before its wire idioms were merged; the k-pclp rows were re-pinned
 # when the mute endpoint began to broadcast its domain size (one more id-width
 # field of B bits per run, no verdict or rejector changed); the normalized-tomdf
-# row, whose L rounds ship pickled node views, was re-pinned when views
-# stopped carrying a random tape, when they became named tuples and when the
-# swap began to ship the state after the displaced broadcast round (mean L
-# bits over all_graphs(n <= 4): 11,870, 8,481, 6,601, then 6,513), each time
-# with the verdicts and rejectors unchanged (VERDICT_DIGESTS)
+# row, whose L rounds ship tomdf's pickled state, was re-pinned when node
+# views stopped carrying a random tape, when they became named tuples, when
+# the swap began to ship the state after the displaced broadcast round and
+# when tomdf's state dropped its node view (mean L bits over all_graphs(n <=
+# 4): 11,870, 8,481, 6,601, 6,513, then 2,227), each time with the verdicts
+# and rejectors unchanged (VERDICT_DIGESTS)
 RUN_DIGESTS = {
     ("one-marked-edge", 4): "c9e6fa5fe24df5f261fa3c1e86850bf832836f56a4ded72c79ce8a4ba2b2bc6f",
     ("xor-index-path", 3): "b91040fb6906eaa4496bfc429367b087754507dbe988625ffcd9460cfae48901",
@@ -396,7 +397,7 @@ RUN_DIGESTS = {
     ("k-pclp:k=3", 4): "8cfe6b6cbac6846a96bf71342286287c90aff812135632345d1cb12b2a451031",
     ("tomdf-bcc", 4): "6311962969e8746c4d13db182565f01e2602c515c3d404694e72a3a0c82e5b83",
     ("triangle-freeness-via-tomdf", 4): "194c7cc2584b31d339bec316b060f9ae01dc5916019749ddd095fb74a13d765b",
-    ("normalized-tomdf", 4): "6e70fb96418dfc2efc63b9c9ddfbf58ea83a6c3b489888c01a53d257a06613da",
+    ("normalized-tomdf", 4): "c1098b6c29bfa399759ba9b04eaa32b64f50e94ba70059b028dcfb70b99a7e7d",
 }
 
 # the same rows' verdicts and rejectors alone, with no bit count: a change of
@@ -465,7 +466,7 @@ def test_run_digests_are_pinned(row, size):
 TRANSCRIPT_DIGESTS = {
     ("tomdf-bcc", 4): "d47eb43fb1b473874af0f772436f05ae81cd63d748ef9f917ac5f7f979927644",
     ("triangle-freeness-via-tomdf", 4): "e5c80eca7d80344213a7a8ec8d5e34b29ca30cd4b06ab51489013de0becc93d8",
-    ("normalized-tomdf", 4): "07cdf1c4655667c335e1498294a0360a0bf95331057be736ba9b1a1956287846",
+    ("normalized-tomdf", 4): "695f2a82c00fa7f0f1bb5f20694de5fbc1c4a83c45c4d13a2cfad0052c968324",
 }
 
 

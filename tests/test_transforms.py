@@ -5,7 +5,7 @@ from types import MappingProxyType
 import pytest
 
 from artifact import transforms
-from artifact._codec import obj_to_bytes
+from artifact._codec import bytes_to_obj, obj_to_bytes
 from artifact.engine import Protocol, RoundKind, Schedule, run
 from artifact.graphs import LabeledGraph, all_graphs, cycle_graph, random_labeled_graph
 from artifact.languages import membership
@@ -145,17 +145,64 @@ def test_normalize_preserves_tomdf_on_its_native_schedule():
 
 
 @pytest.mark.parametrize("text", ["B,L", "B,L,B"])
-def test_swap_runs_each_broadcast_round_once_per_node(text):
-    # every node runs the displaced B round itself; only its L round is
-    # replayed, once at each neighbour
+def test_swap_runs_each_broadcast_round_once_per_node(text, monkeypatch):
+    # every node runs the displaced B round and its own L round itself; each
+    # shipped state is decoded and its L round replayed once, however many
+    # neighbours receive it (the protocol is fresh: its replay memo outlives
+    # a run)
     g = random_labeled_graph(5, 3)
-    n, degree_sum = g.n, sum(g.degree(v) for v in g.nodes)
-    assert degree_sum > 0
+    n = g.n
+    assert all(g.degree(v) > 0 for v in g.nodes)  # every node ships its state
+    decoded = []
+
+    def counting_bytes_to_obj(data):
+        decoded.append(data)
+        return bytes_to_obj(data)
+
+    monkeypatch.setattr(transforms, "bytes_to_obj", counting_bytes_to_obj)
     recorder = Recorder(FullStateStressProtocol())
     norm, nsched = normalize_lb(recorder, Schedule.parse(text))
     run(norm, g, nsched, record=False)
     assert recorder.calls[1, RoundKind.BCC] == n
-    assert recorder.calls[2, RoundKind.LOCAL] == n + degree_sum
+    assert recorder.calls[2, RoundKind.LOCAL] == 2 * n
+    assert len(decoded) == n
+
+
+def _same_degree_groups(max_n):
+    """all_graphs(n <= max_n) grouped by each id's degree, in groups of two
+    or more: their round-1 broadcasts (tomdf's degrees, the stress protocol's
+    digest of id and label) are equal by value, and their shipped states are
+    not."""
+    groups = {}
+    for g in itertools.chain(*(all_graphs(n) for n in range(1, max_n + 1))):
+        groups.setdefault(tuple(g.degree(v) for v in g.nodes), []).append(g)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def test_replay_memo_is_keyed_on_the_shipped_state():
+    # one normalized protocol per row, shared by every run and interleaved
+    # with the other rows, against a fresh one per run: a replay memo keyed
+    # on anything less than (broadcast inbox, shipped bytes) hands the second
+    # graph of a group the first one's outboxes
+    tomdf = proto_registry("tomdf")
+    rows = [(tomdf.protocol, tomdf.schedule)]
+    rows += [(FullStateStressProtocol(), Schedule.parse(text)) for text in ("B,L", "B,L,B")]
+    shared = []
+    for inner, sched in rows:
+        recorder = Recorder(inner)
+        shared.append((inner, sched, recorder, *normalize_lb(recorder, sched)))
+    groups = _same_degree_groups(4)
+    assert len(groups) > 1
+    for group in groups:
+        for g in group:
+            for inner, sched, recorder, norm, nsched in shared:
+                fresh = Recorder(inner)
+                fresh_norm, _ = normalize_lb(fresh, sched)
+                recorder.log.clear()
+                a = run(norm, g, nsched, record=False).verdict
+                b = run(fresh_norm, g, nsched, record=False).verdict
+                assert (a.accept, a.rejectors) == (b.accept, b.rejectors), g
+                assert recorder.log == fresh.log, g
 
 
 # ---------------------------------------------------------------------------
