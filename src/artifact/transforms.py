@@ -11,12 +11,12 @@ Two constructions live here:
 
 The swap works by shipping state: in the new early unbounded round each node
 runs the displaced broadcast round, holds its broadcast and ships the state it
-leaves to its neighbors. Once the broadcasts are in, each shipped state is
-decoded and its displaced unbounded round replayed once; the outbox it makes
-is memoised by value on (broadcast inbox, shipped bytes) and shared, read-only,
-by every receiver of that state. Verdicts are preserved exactly because every
-inner call gets byte-identical inputs: the broadcast round is the same call
-one round earlier, and the state codec (`_codec`) depends on values only, so a
+leaves to its neighbors. Each shipped state is decoded once, shared by value
+among its receivers (equal bytes, one decoded state), and once the broadcasts
+are in its displaced unbounded round is replayed once per run; every receiver
+reads the one outbox. Verdicts are preserved exactly because every inner
+call gets byte-identical inputs: the broadcast round is the same call one
+round earlier, and the state codec (`_codec`) depends on values only, so a
 decoded neighbor state re-encodes to the bytes it was sent as, and equal bytes
 replay to equal outboxes. The swap costs one round of full-state traffic,
 which an unbounded round permits.
@@ -51,41 +51,49 @@ class _SwappedProtocol(Protocol):
         self.inner = inner
         self.kinds = kinds
         self.t = t
-        # the last round-t+1 broadcast inbox seen, and the displaced L round's
-        # outbox replayed under it for each shipped state, keyed by its bytes;
-        # it outlives a run, which is sound because a replay depends on values
-        # only
+        # shipped states decoded since the last replay, by their bytes: a
+        # replay may change the state it runs on, so none is shared after it
+        self._decoded = {}
+        # one run's round-t+1 broadcast inbox (every call of a run gets the
+        # same tuple) and the displaced L round's outbox for each decoded
+        # state, by its identity (held, so no id is reused)
         self._replays = (None, {})
 
     def init(self, view: NodeView):
         # (me, neighbours, data): data is the inner state, except that after
         # round t it is (inner state after the displaced B round, the
         # broadcast that round made) and after round t+1 it is (that state,
-        # the inbox of states the neighbours shipped, still as bytes: each is
-        # decoded and replayed once, shared by value among its receivers)
+        # the states the neighbours shipped: each is decoded and replayed
+        # once, shared by value among its receivers)
         return view.node, view.neighbors, self.inner.init(view)
+
+    def _decode(self, payload):
+        try:
+            return self._decoded[payload]
+        except KeyError:
+            state = self._decoded[payload] = bytes_to_obj(payload)
+            return state
 
     def _resume(self, me, data, bcast_inbox):
         """Run this node's displaced L round, and take the message addressed to
         this node from each neighbour's; return this node's state after the
-        round and the inbox it would have had. Each shipped state is decoded
-        and its round replayed once per distinct (broadcast inbox, shipped
-        bytes) value, and every receiver reads the one outbox, so it must stay
-        read-only; as in `protocols._last_inbox_memo`, a hit does not hash the
-        inbox."""
-        state_t, shipped = data
+        round and the inbox it would have had. Each decoded state is replayed
+        once per run, and every receiver reads the one outbox, so it must stay
+        read-only."""
+        state_t, payloads = data
+        self._decoded.clear()
         step = self.t + 1, RoundKind.LOCAL, bcast_inbox
         state_t1, _ = self.inner.round(state_t, *step)
-        seen, outboxes = self._replays
+        seen, replays = self._replays
         if bcast_inbox is not seen:
-            if bcast_inbox != seen:
-                outboxes = {}
-            self._replays = bcast_inbox, outboxes
+            replays = {}
+            self._replays = bcast_inbox, replays
         got = []
-        for sender, payload in shipped:
-            out_u = outboxes.get(payload)
-            if out_u is None:
-                out_u = outboxes[payload] = self.inner.round(bytes_to_obj(payload), *step)[1]
+        for sender, st_u in payloads.items():
+            hit = replays.get(id(st_u))
+            if hit is None:
+                hit = replays[id(st_u)] = st_u, self.inner.round(st_u, *step)[1]
+            out_u = hit[1]
             if me in out_u:
                 got.append((sender, out_u[me]))
         # the shipped inbox is sorted by sender, and so is what it yields
@@ -106,7 +114,8 @@ class _SwappedProtocol(Protocol):
         if index == t + 1:
             # the displaced broadcast
             state_t, out_b = data
-            return (me, nbrs, (state_t, inbox)), out_b
+            payloads = {u: self._decode(msg) for u, msg in inbox}
+            return (me, nbrs, (state_t, payloads)), out_b
         state_t1, inner_inbox = self._resume(me, data, inbox)
         data, out = self.inner.round(state_t1, t + 2, self.kinds[t + 1], inner_inbox)
         return (me, nbrs, data), out

@@ -148,8 +148,7 @@ def test_normalize_preserves_tomdf_on_its_native_schedule():
 def test_swap_runs_each_broadcast_round_once_per_node(text, monkeypatch):
     # every node runs the displaced B round and its own L round itself; each
     # shipped state is decoded and its L round replayed once, however many
-    # neighbours receive it (the protocol is fresh: its replay memo outlives
-    # a run)
+    # neighbours receive it
     g = random_labeled_graph(5, 3)
     n = g.n
     assert all(g.degree(v) > 0 for v in g.nodes)  # every node ships its state
@@ -166,6 +165,22 @@ def test_swap_runs_each_broadcast_round_once_per_node(text, monkeypatch):
     assert recorder.calls[1, RoundKind.BCC] == n
     assert recorder.calls[2, RoundKind.LOCAL] == 2 * n
     assert len(decoded) == n
+
+
+# L bits of the normalized stress protocol over random_labeled_graph(4 + s % 3,
+# s), s < 15: one swap, and two swaps, where the outer swap ships a state of
+# the inner one (with the neighbour states it holds decoded)
+STRESS_L_BITS = {"B,L": 91_320, "B,L,L": 406_032, "B,L,B,L": 461_352}
+
+
+@pytest.mark.parametrize("text", sorted(STRESS_L_BITS))
+def test_normalized_stress_l_bits_are_pinned(text):
+    norm, nsched = normalize_lb(FullStateStressProtocol(), Schedule.parse(text))
+    bits = sum(
+        run(norm, random_labeled_graph(4 + s % 3, s), nsched, record=False).transcript.totals["L"]
+        for s in range(15)
+    )
+    assert bits == STRESS_L_BITS[text]
 
 
 def _same_degree_groups(max_n):
