@@ -786,6 +786,30 @@ def test_malformed_record_exchange_digest_is_pinned():
     assert _digests(_malformed_runs())[0] == MALFORMED_DIGEST
 
 
+def _malformed_star_runs():
+    """disj-edge-star runs: 120 seeded instances of its family up to size 4,
+    each under every mutation; one input pair under every first-side index
+    sequence for n = 2 and 3; then seeded random labeled graphs."""
+    named, rng = proto_registry("disj-edge-star"), random.Random("disj-edge-star")
+    for g in rng.sample(list(enumerate_small_instances(named.family, 4)), 120):
+        for how in _MUTATIONS:
+            yield named, _mutant(g, rng, how)
+    for x, y in (("10", "01"), ("101", "010")):
+        for indices in product(range(1, len(x) + 1), repeat=len(x)):
+            yield named, build_disj_edge_star(x, y, indices)
+    for n in range(1, 14):
+        for s in range(10):
+            yield named, random_labeled_graph(n, s)
+
+
+# pinned before the hub's round-2 loop lost its range and fill re-checks
+MALFORMED_STAR_DIGEST = "70a5f691522f29c63b21004ca09ef63b432625ae13ecb8b790e100b9ab161941"
+
+
+def test_malformed_disj_edge_star_digest_is_pinned():
+    assert _digests(_malformed_star_runs())[0] == MALFORMED_STAR_DIGEST
+
+
 def test_special_disjointness_rejects_without_its_capped_round():
     # a schedule override that drops round 2 leaves every node without
     # records: each rejects instead of raising
