@@ -52,12 +52,9 @@ class RoundKind(Enum):
     @staticmethod
     def from_char(c: str) -> "RoundKind":
         try:
-            return _KIND_BY_CHAR[c]
-        except KeyError:
+            return RoundKind(c)
+        except ValueError:
             raise ValueError(f"unknown round kind {c!r}") from None
-
-
-_KIND_BY_CHAR = {k.char: k for k in RoundKind}
 
 
 def default_bandwidth(n: int) -> int:
@@ -184,12 +181,11 @@ class TranscriptEvent:
 class Transcript:
     """Byte-exact record of everything sent: events plus per-kind bit totals.
 
-    Broadcast messages appear once per sender. With record=False only the
-    totals are kept (events list stays empty) — the cheap mode for sweeps.
+    Broadcast messages appear once per sender. A run with record=False keeps
+    only the totals (events list stays empty) — the cheap mode for sweeps.
     """
 
-    def __init__(self, record: bool = True):
-        self.record = record
+    def __init__(self):
         self.events: list[TranscriptEvent] = []
         self.totals: dict[str, int] = {"L": 0, "B": 0, "C": 0}
         self.max_bits: dict[str, int] = {"L": 0, "B": 0, "C": 0}
@@ -241,14 +237,9 @@ class Verdict:
         return tuple(v for v, ok in sorted(self.per_node.items()) if not ok)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     verdict: Verdict
     transcript: Transcript
-
-    def __iter__(self):
-        # allow `verdict, transcript = run(...)`
-        return iter((self.verdict, self.transcript))
 
 
 def make_views(graph: LabeledGraph, seed: int) -> dict[int, NodeView]:
@@ -281,7 +272,7 @@ def run(
     # states and inboxes by node position
     states = [init(view) for view in make_views(graph, seed).values()]
     inboxes: list[Inbox] = [()] * len(nodes)
-    transcript = Transcript(record)
+    transcript = Transcript()
     events, totals, max_bits = transcript.events, transcript.totals, transcript.max_bits
     bw = schedule.bandwidth(graph.n)
     kinds = schedule.kinds

@@ -307,16 +307,21 @@ def clique_edge_order(ids: Sequence[int]) -> list[tuple[int, int]]:
 # gadget generators
 
 
+def _check_inputs(n: int, x: str, y: str) -> None:
+    """The input check of the two-party gadgets with n-bit inputs x and y."""
+    if n < 2:
+        raise InvalidInstanceError("need n >= 2")
+    if not (is_bits(x) and is_bits(y) and len(x) == n and len(y) == n):
+        raise InvalidInstanceError("x and y must be n-bit strings")
+
+
 def build_xor_index_path(n: int, x: str, y: str, i: int, j: int) -> LabeledGraph:
     """Odd path on 2n+1 nodes carrying (x, i) on one arm and (y, j) on the other.
 
     Ids run 1..2n+1 along the path. Node 1 holds index i, node n holds x,
     node n+2 holds y, node 2n+1 holds index j; everything else is blank.
     """
-    if n < 2:
-        raise InvalidInstanceError("need n >= 2")
-    if not (is_bits(x) and is_bits(y) and len(x) == n and len(y) == n):
-        raise InvalidInstanceError("x and y must be n-bit strings")
+    _check_inputs(n, x, y)
     if not (1 <= i <= n and 1 <= j <= n):
         raise InvalidInstanceError(f"indices must lie in [1, {n}]")
     labels = {
@@ -379,19 +384,13 @@ def build_disj_on_clique(rows: Sequence[str]) -> LabeledGraph:
 
 def build_disj_on_edge(n: int, x: str, y: str) -> LabeledGraph:
     """Path on 2n nodes with x on id n and y on id n+1 (the middle edge)."""
-    if n < 2:
-        raise InvalidInstanceError("need n >= 2")
-    if not (is_bits(x) and is_bits(y) and len(x) == n and len(y) == n):
-        raise InvalidInstanceError("x and y must be n-bit strings")
+    _check_inputs(n, x, y)
     return path_graph(2 * n, {n: Label.of_bits(x), n + 1: Label.of_bits(y)})
 
 
 def build_disj_on_path(n: int, x: str, y: str) -> LabeledGraph:
     """Path on 2n nodes with x on id n-1 and y on id n+2 (distance 3 apart)."""
-    if n < 2:
-        raise InvalidInstanceError("need n >= 2")
-    if not (is_bits(x) and is_bits(y) and len(x) == n and len(y) == n):
-        raise InvalidInstanceError("x and y must be n-bit strings")
+    _check_inputs(n, x, y)
     return path_graph(2 * n, {n - 1: Label.of_bits(x), n + 2: Label.of_bits(y)})
 
 

@@ -20,9 +20,9 @@ reading it, happens once per round: it is a pure function of the inbox's
 value, memoised by value in one slot (`_last_inbox_memo`), so every node
 after the first looks the result up without hashing the inbox again. The
 readers that do so are xor-index-path's path (`xor_path_structure`), the
-k-pclp round-1 digest (`kpclp_round1_structure`), tomdf's maximum degree
-(`_max_count`) and one-marked-edge's count total (`_count_total`); the
-broadcast-row deciders of `transforms` share the same memo.
+k-pclp round-1 digest (`kpclp_round1_structure`) and the count reader
+(`_count_sum_max`), whose sum one-marked-edge reads and whose maximum tomdf
+reads; the broadcast-row deciders of `transforms` share the same memo.
 """
 
 from __future__ import annotations
@@ -105,18 +105,11 @@ def decode_counts(inbox: Inbox, width: int) -> dict[int, int] | None:
 
 
 @_last_inbox_memo
-def _count_total(inbox: Inbox, width: int) -> int | None:
-    """The sum of the `width`-bit counts; None if a message has another width."""
+def _count_sum_max(inbox: Inbox, width: int) -> tuple[int, int] | None:
+    """The sum and the largest of the `width`-bit counts; None if a message
+    has another width or the inbox is empty."""
     counts = decode_counts(inbox, width)
-    return None if counts is None else sum(counts.values())
-
-
-@_last_inbox_memo
-def _max_count(inbox: Inbox, width: int) -> int | None:
-    """The largest `width`-bit count; None if a message has another width or
-    the inbox is empty."""
-    counts = decode_counts(inbox, width)
-    return max(counts.values()) if counts else None
+    return (sum(counts.values()), max(counts.values())) if counts else None
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +167,8 @@ class OneMarkedEdgeProtocol(Protocol):
         return state, encode_int(count, _count_width(state["n"]))
 
     def decide(self, state, inbox):
-        return state["ok"] and _count_total(inbox, _count_width(state["n"])) == 2
+        counts = _count_sum_max(inbox, _count_width(state["n"])) if state["ok"] else None
+        return counts is not None and counts[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +308,11 @@ class TomdfProtocol(Protocol):
         if index == 1:
             return state, encode_int(len(nbrs), state["wd"])
         # only round 2 reads round-1 degrees; an empty inbox names no maximum
-        delta = _max_count(inbox, state["wd"]) if index == 2 else None
-        if delta is None:
+        counts = _count_sum_max(inbox, state["wd"]) if index == 2 else None
+        if counts is None:
             state["bad"] = True
             return state, {}
-        state["delta"] = delta
+        state["delta"] = counts[1]
         listing = encode_ids(nbrs, state["w"])
         return state, {u: listing for u in nbrs}
 
@@ -451,7 +445,7 @@ class KPclpProtocol(Protocol):
             state["bad"], size = True, 0  # undecodable on the wire
         return "10" + nbr + encode_int(size, w)
 
-    def _digest(self, state, round_completed: int, inbox):
+    def _absorb(self, state, round_completed: int, inbox):
         """Absorb the broadcasts of round `round_completed`."""
         if round_completed == 1:
             view: NodeView = state["view"]
@@ -482,7 +476,7 @@ class KPclpProtocol(Protocol):
     def round(self, state, index, kind, inbox):
         if index == 1:
             return state, self._round1_broadcast(state)
-        self._digest(state, index - 1, inbox)
+        self._absorb(state, index - 1, inbox)
         chaser = state["a_end"] if index % 2 else state["b_end"]
         if state["struct_bad"] or state["view"].node != chaser:
             return state, ""
@@ -493,7 +487,7 @@ class KPclpProtocol(Protocol):
         return state, "1" + encode_int(g[prev], state["w"])
 
     def decide(self, state, inbox):
-        self._digest(state, self.k, inbox)
+        self._absorb(state, self.k, inbox)
         if state["struct_bad"] or state["bad"] or len(state["chase"]) != self.k:
             return False
         return bin(state["chase"][-1]).count("1") % 2 == 1
@@ -562,7 +556,7 @@ class SpecialDisjointnessProtocol(Protocol):
     _build = partial(build_special_disjointness, b="0")
 
     def init(self, view: NodeView):
-        return {"view": view, "shape": _spd_shape(view.label), "records": {}}
+        return {"view": view, "shape": _spd_shape(view.label), "records": {}, "relayed": False}
 
     def round(self, state, index, kind, inbox):
         view: NodeView = state["view"]
@@ -581,16 +575,15 @@ class SpecialDisjointnessProtocol(Protocol):
             vecs = [r["vec"] for r in records.values() if r and r["shape"] == ("pendant",)]
             spine2 = [s for s, r in records.items() if r and r["shape"] == ("spine", 2)]
             n = view.n - 6
-            if (
-                len(vecs) == 2
-                and len(spine2) == 1
-                and len(vecs[0]) == len(vecs[1]) == n
-            ):
+            state["relayed"] = (
+                len(vecs) == 2 and len(spine2) == 1 and len(vecs[0]) == len(vecs[1]) == n
+            )
+            if state["relayed"]:
                 out[spine2[0]] = "1" if disjoint(vecs[0], vecs[1]) else "0"
         elif state["shape"] == ("spine", 3):
             b_vals = [r["b"] for r in records.values() if r and r["shape"] == ("spine", 4)]
             spine2 = [s for s, r in records.items() if r and r["shape"] == ("spine", 2)]
-            if len(b_vals) == 1 and len(spine2) == 1 and b_vals[0] in ("0", "1"):
+            if len(b_vals) == 1 and len(spine2) == 1:  # a one-bit label
                 out[spine2[0]] = b_vals[0]
         return state, out
 
@@ -611,14 +604,8 @@ class SpecialDisjointnessProtocol(Protocol):
             bits = [msg for _, msg in inbox]
             return len(bits) == 2 and bits[0] == bits[1] and bits[0] in ("0", "1")
         if state["shape"] == ("spine", 1):
-            view: NodeView = state["view"]
-            n = view.n - 6
-            vecs = [
-                r["vec"]
-                for r in state["records"].values()
-                if r and r["shape"] == ("pendant",)
-            ]
-            return len(vecs) == 2 and len(vecs[0]) == n and len(vecs[1]) == n
+            # the view fits, so the relay saw two pendants and one spine-2 node
+            return state["relayed"]
         return True
 
 
@@ -670,12 +657,11 @@ class DisjOnEdgeProtocol(Protocol):
         if state["vec"] is None:
             return True
         n = state["view"].n // 2
-        if len(state["vec"]) != n:
+        # the view fits, so exactly one neighbour is labeled
+        (partner,) = [r["vec"] for r in records.values() if r["vec"] is not None]
+        if len(state["vec"]) != n or len(partner) != n:
             return False
-        partner = [r["vec"] for r in records.values() if r["vec"] is not None]
-        if len(partner) != 1 or len(partner[0]) != n:
-            return False
-        return disjoint(state["vec"], partner[0])
+        return disjoint(state["vec"], partner)
 
 
 class DisjOnPathProtocol(DisjOnEdgeProtocol):
@@ -778,20 +764,12 @@ class DisjEdgeStarProtocol(Protocol):
         m, w = state["m"], state["w"]
         got = dict(inbox)
         silent = [u for u in view.neighbors if u not in got]
-        vec: list[str | None] = [None] * m
-        ok = len(silent) == 1
-        if ok:
-            for sender, msg in got.items():
-                if len(msg) != 1 + w:
-                    ok = False
-                    break
-                (idx,) = decode_ids(msg[1:], w)
-                if not 1 <= idx <= m or vec[idx - 1] is not None:
-                    ok = False
-                    break
-                vec[idx - 1] = msg[0]
-        ok = ok and None not in vec
-        state["vec"] = "".join(v for v in vec if v is not None) if ok else None
+        # a round-1 sender passed leaf_ok, so its index lies in [1, m]: the m
+        # senders beside one silent co-hub fill every slot unless two collide
+        bit_at = {}
+        if len(silent) == 1 and all(len(msg) == 1 + w for msg in got.values()):
+            bit_at = {decode_ids(msg[1:], w)[0]: msg[0] for msg in got.values()}
+        state["vec"] = "".join(bit_at[i] for i in range(1, m + 1)) if len(bit_at) == m else None
         state["cohub"] = silent[0] if len(silent) == 1 else None
         record = {"hub": True, "deg": len(view.neighbors), "vec": state["vec"]}
         payload = obj_to_bytes(record)
@@ -814,11 +792,9 @@ class DisjEdgeStarProtocol(Protocol):
         rec = records.get(state["cohub"])
         if not rec or not rec.get("hub") or rec.get("deg") != state["m"] + 1:
             return False
-        partner = rec.get("vec")
+        partner = rec.get("vec")  # a hub's vector has m bits
         if partner is None:
             return True  # the co-hub saw the problem and rejects itself
-        if len(partner) != state["m"]:
-            return False
         return disjoint(state["vec"], partner)
 
 
@@ -938,7 +914,7 @@ class FullStateStressProtocol(Protocol):
         }
 
     @staticmethod
-    def _digest(state, extra: str) -> str:
+    def _hash(state, extra: str) -> str:
         material = repr((state["me"], state["label"], state["trail"], extra))
         h = hashlib.sha256(material.encode()).digest()
         return bytes_to_bits(h)
@@ -947,15 +923,15 @@ class FullStateStressProtocol(Protocol):
         state = dict(state, trail=state["trail"] + [(index, kind.char, tuple(inbox))])
         cap = default_bandwidth(state["n"])
         if kind is RoundKind.BCC:
-            return state, self._digest(state, "b")[:cap]
+            return state, self._hash(state, "b")[:cap]
         if kind is RoundKind.CONGEST:
             return state, {
-                u: self._digest(state, f"c{u}")[:cap] for u in state["nbrs"]
+                u: self._hash(state, f"c{u}")[:cap] for u in state["nbrs"]
             }
         return state, {u: obj_to_bytes((state, u)) for u in state["nbrs"]}
 
     def decide(self, state, inbox):
-        return self._digest(dict(state, trail=state["trail"] + [tuple(inbox)]), "d")[0] == "1"
+        return self._hash(dict(state, trail=state["trail"] + [tuple(inbox)]), "d")[0] == "1"
 
 
 # ---------------------------------------------------------------------------
