@@ -583,7 +583,8 @@ class SpecialDisjointnessProtocol(Protocol):
         elif state["shape"] == ("spine", 3):
             b_vals = [r["b"] for r in records.values() if r and r["shape"] == ("spine", 4)]
             spine2 = [s for s, r in records.items() if r and r["shape"] == ("spine", 2)]
-            if len(b_vals) == 1 and len(spine2) == 1:  # a one-bit label
+            # _spd_shape gives spine position 4 only to a one-bit label
+            if len(b_vals) == 1 and len(spine2) == 1:
                 out[spine2[0]] = b_vals[0]
         return state, out
 
