@@ -787,8 +787,8 @@ class DisjEdgeStarProtocol(Protocol):
                 return False
             rec = records.get(view.neighbors[0])
             return bool(rec and rec.get("hub") and rec.get("deg") == state["m"] + 1)
-        # hub
-        if state["vec"] is None or state["cohub"] is None:
+        # hub: a vector was built only beside one silent co-hub
+        if state["vec"] is None:
             return False
         rec = records.get(state["cohub"])
         if not rec or not rec.get("hub") or rec.get("deg") != state["m"] + 1:
